@@ -125,7 +125,7 @@ def test_distributed_scaling(tmp_path, save_artifact, save_json):
         "bench": "distributed_scaling",
         "n": N, "m": M, "trials": TRIALS,
         "shard_trials": SHARD_TRIALS,
-        "packing": "u8", "backend": "numpy",
+        "backend": "numpy",
         "topology": "shared-store (sqlite broker)",
         "in_process_trials_per_s": TRIALS / in_process_s,
         "points": [{k: p[k] for k in

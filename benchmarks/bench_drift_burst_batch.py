@@ -1,9 +1,9 @@
 """Throughput bench: batched drift and burst simulation vs their scalar
 references.
 
-This PR moved the drift-window and burst-survival Monte-Carlo paths onto
-the unified ``(B, n, n)`` campaign engine; this bench pins the speedup
-claim at the target geometry (n=129, m=3 — the closest odd-block
+The drift-window and burst-survival Monte-Carlo paths ride the unified
+packed campaign engine; this bench pins the speedup claim at the target
+geometry (n=129, m=3 — the closest odd-block
 geometry to the n=128 target, as in ``bench_campaign_batch``) with
 ``B = 1024`` batched trials:
 
@@ -15,9 +15,9 @@ geometry to the n=128 target, as in ``bench_campaign_batch``) with
 Both must clear 20x; in practice the vectorized check sweep lands around
 two orders of magnitude ahead, like the uniform-SER campaigns. A small
 differential gate re-asserts bit-identical tallies while the clock runs,
-and a packed-vs-unpacked comparison records the bit-sliced uint64
-layout's end-to-end rates (``packing="u64"``) next to the uint8 ones —
-machine-readable twins land in ``BENCH_*.json``.
+and the packed engine's end-to-end drift and burst rates are recorded
+for the active kernel tier — machine-readable twins land in
+``BENCH_*.json``.
 
 Run:  pytest -m slow benchmarks/bench_drift_burst_batch.py
 """
@@ -67,7 +67,7 @@ def test_batched_drift_speedup(save_artifact, save_json):
     save_json("drift_batch_throughput", {
         "bench": "drift_batch_throughput",
         "n": GRID.n, "m": GRID.m, "B": BATCH_TRIALS,
-        "backend": "numpy", "packing": "u8",
+        "backend": "numpy",
         "window_hours": WINDOW_HOURS, "refresh_hours": REFRESH_HOURS,
         "scalar_trials_per_s": scalar_rate,
         "batched_trials_per_s": batch_rate,
@@ -104,7 +104,7 @@ def test_batched_burst_speedup(save_artifact, save_json):
     save_json("burst_batch_throughput", {
         "bench": "burst_batch_throughput",
         "n": GRID.n, "m": GRID.m, "B": BATCH_TRIALS,
-        "backend": "numpy", "packing": "u8",
+        "backend": "numpy",
         "burst_length": BURST_LENGTH,
         "scalar_trials_per_s": scalar_rate,
         "batched_trials_per_s": batch_rate,
@@ -127,54 +127,34 @@ def test_batched_burst_speedup(save_artifact, save_json):
 
 @pytest.mark.slow
 def test_packed_drift_burst_throughput(save_artifact, save_json):
-    """Bit-packed uint64 drift/burst campaigns: tallies identical to the
-    uint8 layout, throughput recorded for the cross-PR trajectory.
+    """Packed drift/burst campaigns end to end: throughput recorded for
+    the cross-PR trajectory (bit-identity with the scalar engines is
+    gated by ``test_engines_agree_while_benched``).
 
     End-to-end rates include the per-trial host RNG draws (drift draws
-    several random fields per trial, so they dominate its runtime and
-    narrow the end-to-end gap); the check-sweep kernel itself is gated
-    at the 4x bar in ``bench_campaign_batch.py``.
+    several random fields per trial, so they dominate its runtime); the
+    check-sweep kernel itself is gated in ``bench_kernels.py``.
     """
-    rows = []
-    payload = {"bench": "packed_drift_burst_throughput",
-               "n": GRID.n, "m": GRID.m, "B": BATCH_TRIALS,
-               "backend": "numpy"}
-    for packing in ("u8", "u64"):
-        drift_rate = _rate(
-            lambda t: simulate_drift_survival(
-                GRID, MODEL, WINDOW_HOURS, REFRESH_HOURS, trials=t, seed=1,
-                engine="batched", batch_size=64, packing=packing),
-            BATCH_TRIALS)
-        burst_rate = _rate(
-            lambda t: simulate_burst_survival(
-                GRID, BURST_LENGTH, t, seed=2, engine="batched",
-                batch_size=64, packing=packing),
-            BATCH_TRIALS)
-        payload[f"drift_{packing}_trials_per_s"] = drift_rate
-        payload[f"burst_{packing}_trials_per_s"] = burst_rate
-        rows.append(f"{packing:>4} drift: {drift_rate:10.2f} trials/s   "
-                    f"burst: {burst_rate:10.2f} trials/s")
-    payload["drift_speedup"] = (payload["drift_u64_trials_per_s"]
-                                / payload["drift_u8_trials_per_s"])
-    payload["burst_speedup"] = (payload["burst_u64_trials_per_s"]
-                                / payload["burst_u8_trials_per_s"])
-
-    # Tallies must be identical across layouts while the clock runs.
-    kwargs = dict(model=MODEL, window_hours=WINDOW_HOURS,
-                  refresh_period_hours=REFRESH_HOURS, trials=64, seed=5)
-    assert simulate_drift_survival(GRID, packing="u8", **kwargs).as_dict() \
-        == simulate_drift_survival(GRID, packing="u64", **kwargs).as_dict()
-    assert simulate_burst_survival(GRID, BURST_LENGTH, 64, seed=6,
-                                   packing="u8") \
-        == simulate_burst_survival(GRID, BURST_LENGTH, 64, seed=6,
-                                   packing="u64")
-
-    save_json("packed_drift_burst_throughput", payload)
+    drift_rate = _rate(
+        lambda t: simulate_drift_survival(
+            GRID, MODEL, WINDOW_HOURS, REFRESH_HOURS, trials=t, seed=1,
+            engine="batched", batch_size=64),
+        BATCH_TRIALS)
+    burst_rate = _rate(
+        lambda t: simulate_burst_survival(
+            GRID, BURST_LENGTH, t, seed=2, engine="batched",
+            batch_size=64),
+        BATCH_TRIALS)
+    save_json("packed_drift_burst_throughput", {
+        "bench": "packed_drift_burst_throughput",
+        "n": GRID.n, "m": GRID.m, "B": BATCH_TRIALS, "backend": "numpy",
+        "drift_u64_trials_per_s": drift_rate,
+        "burst_u64_trials_per_s": burst_rate,
+    })
     save_artifact("packed_drift_burst_throughput.txt", "\n".join([
         f"geometry: n={GRID.n}, m={GRID.m}, B={BATCH_TRIALS}",
-        *rows,
-        f"drift u64/u8: {payload['drift_speedup']:.2f}x   "
-        f"burst u64/u8: {payload['burst_speedup']:.2f}x",
+        f"drift: {drift_rate:10.2f} trials/s   "
+        f"burst: {burst_rate:10.2f} trials/s",
     ]))
 
 

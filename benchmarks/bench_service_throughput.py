@@ -110,7 +110,7 @@ def test_service_throughput_and_cache_latency(tmp_path, save_artifact,
         "bench": "service_throughput",
         "n": N, "m": M, "trials_per_job": JOB_TRIALS,
         "jobs": JOB_COUNT, "shard_trials": 64, "workers": 2,
-        "packing": "u8", "backend": "numpy",
+        "backend": "numpy",
         "jobs_per_s": jobs_per_s,
         "trials_per_s": JOB_COUNT * JOB_TRIALS / burst_s,
         "in_process_job_s": in_process_s,

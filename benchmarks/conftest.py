@@ -117,7 +117,7 @@ def save_json(results_dir, active_kernels, bench_provenance,
     """Persist machine-readable bench results as ``BENCH_<name>.json``.
 
     Each payload is a flat-ish dict (throughput numbers plus the
-    parameters that produced them: n, B, packing mode, backend, ...).
+    parameters that produced them: n, B, batch size, backend, ...).
     A ``machine`` stanza, the active kernel tier, the git revision,
     and a host fingerprint are attached so cross-PR trajectories can
     be filtered by host and by tier. Keep the human-readable ``.txt``

@@ -37,7 +37,7 @@ from repro.service import (
 CAMPAIGN = CampaignJobSpec(
     n=45, m=15,  # paper block size on a small crossbar
     injector=InjectorSpec("uniform", {"probability": 5e-3}),
-    trials=2000, seed=7, packing="u64")
+    trials=2000, seed=7)
 
 
 async def submit_and_poll(store_dir: str) -> None:
@@ -45,7 +45,7 @@ async def submit_and_poll(store_dir: str) -> None:
     async with CampaignService(store_dir, workers=2,
                                shard_trials=256) as service:
         specs = {
-            "uniform campaign (u64)": CAMPAIGN,
+            "uniform campaign": CAMPAIGN,
             "drift survival": DriftSurvivalJobSpec(
                 n=45, m=15, trials=400, tau_hours=2e5, beta=2.0,
                 abrupt_fit_per_bit=1e4, window_hours=24.0,
@@ -67,7 +67,7 @@ async def submit_and_poll(store_dir: str) -> None:
 
         # the differential contract: service == in-process runner
         in_process = CAMPAIGN.build_runner().run(CAMPAIGN.trials)
-        service_side = result_from_dict(jobs["uniform campaign (u64)"]
+        service_side = result_from_dict(jobs["uniform campaign"]
                                         .result)
         print(f"  bit-identical to in-process CampaignRunner: "
               f"{service_side.as_dict() == in_process.as_dict()}")

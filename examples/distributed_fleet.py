@@ -43,7 +43,7 @@ from repro.service import (
 SPEC = CampaignJobSpec(
     n=45, m=15,
     injector=InjectorSpec("uniform", {"probability": 5e-3}),
-    trials=2000, seed=7, packing="u64")
+    trials=2000, seed=7)
 
 
 def start_worker(store_dir, broker_path, name, stop, lease_ttl_s=10.0):

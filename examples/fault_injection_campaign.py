@@ -75,7 +75,7 @@ def main() -> None:
           f"(95% Wilson, half-width <= {adaptive.tolerance})")
 
     # The drift and burst simulators ride the same engine — as does any
-    # registered array backend (REPRO_BACKEND=cupy once a GPU is around).
+    # registered array backend (REPRO_BACKEND=tracing, for example).
     from repro.faults import DriftModel
     from repro.reliability import simulate_burst_survival, \
         simulate_drift_survival

@@ -111,8 +111,7 @@ def default_scenarios(trials: int = 512, seed: int = 0) -> List[Scenario]:
 
 
 def evaluate_code(scenario: Scenario, code: str,
-                  backend: BackendLike = None,
-                  packing: str = "u8") -> dict:
+                  backend: BackendLike = None) -> dict:
     """Score one code on one scenario (see the module docstring axes)."""
     grid = scenario.grid()
     blockcode = build_code(code, grid)
@@ -123,7 +122,7 @@ def evaluate_code(scenario: Scenario, code: str,
 
     runner = CampaignRunner(
         grid, UniformInjector(scenario.ber), seed=scenario.seed,
-        seeding="per-trial", backend=backend, packing=packing, code=code)
+        seeding="per-trial", backend=backend, code=code)
     start = time.perf_counter()
     result = runner.run(scenario.trials)
     elapsed = time.perf_counter() - start
@@ -164,7 +163,7 @@ def pareto_front(evaluations: Sequence[dict]) -> List[str]:
 
 def select(scenarios: Optional[Sequence[Scenario]] = None,
            codes: Optional[Sequence[str]] = None,
-           backend: BackendLike = None, packing: str = "u8") -> dict:
+           backend: BackendLike = None) -> dict:
     """Sweep scenarios x codes; return the JSON-ready selector report.
 
     The report carries, per scenario, every code's evaluation plus the
@@ -182,8 +181,8 @@ def select(scenarios: Optional[Sequence[Scenario]] = None,
                          f"{', '.join(code_names())}")
     out: Dict[str, object] = {"codes": list(codes), "scenarios": []}
     for scenario in scenarios:
-        evaluations = [evaluate_code(scenario, code, backend=backend,
-                                     packing=packing) for code in codes]
+        evaluations = [evaluate_code(scenario, code, backend=backend)
+                       for code in codes]
         best_cost = min(e["update_cost"] for e in evaluations)
         winners = [e["code"] for e in evaluations
                    if e["update_cost"] == best_cost]

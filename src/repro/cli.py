@@ -7,7 +7,7 @@
     python -m repro fig6   [--ser 1e-3]
     python -m repro ablations
     python -m repro select [--n N --m M ... --ber B ... --row-fraction F ...]
-                           [--trials T --seed S --codes C ... --packing P]
+                           [--trials T --seed S --codes C ...]
     python -m repro info
 
     python -m repro serve  [--host H --port P --store DIR --workers N]
@@ -142,8 +142,7 @@ def _cmd_select(args) -> int:
                      for m in ms for ber in bers for frac in fracs]
     else:
         scenarios = default_scenarios(trials=args.trials, seed=args.seed)
-    report = select(scenarios, codes=args.codes or None,
-                    packing=args.packing)
+    report = select(scenarios, codes=args.codes or None)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -159,7 +158,6 @@ def _cmd_info(args) -> int:
     print("artifacts: table1 (latency), table2 (area), fig6 (MTTF), "
           "ablations")
     print(f"backends: {', '.join(info['backends'])}")
-    print(f"packings: {', '.join(info['packings'])}")
     print(f"codes: {', '.join(info['codes'])}")
     native = "built" if info["native_kernels_available"] else "not built"
     print(f"kernel tiers: {', '.join(info['kernel_tiers'])} "
@@ -499,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="campaign root entropy")
     psel.add_argument("--codes", nargs="*", default=None,
                       help="subset of registered codes (default: all)")
-    psel.add_argument("--packing", default="u8", choices=["u8", "u64"],
-                      help="engine tensor layout for the coverage runs")
     psel.set_defaults(func=_cmd_select)
 
     p5 = sub.add_parser("info", help="library, benchmark, and service info")

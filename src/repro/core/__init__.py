@@ -14,7 +14,6 @@ to the exact cell.
 from repro.core.blocks import BlockGrid
 from repro.core.checkstore import CheckStore
 from repro.core.code import (
-    BatchDecode,
     CheckBitError,
     DataError,
     DecodeOutcome,
@@ -39,11 +38,9 @@ from repro.core.parity import (
 )
 from repro.core.updater import ContinuousUpdater
 from repro.core.checker import (
-    BatchSweepReport,
     BlockChecker,
     CheckReport,
     PackedSweepReport,
-    check_all_batched,
     check_all_batched_packed,
 )
 
@@ -51,7 +48,6 @@ __all__ = [
     "BlockGrid",
     "CheckStore",
     "DiagonalParityCode",
-    "BatchDecode",
     "PackedBatchDecode",
     "DecodeOutcome",
     "DecodeStatus",
@@ -71,8 +67,6 @@ __all__ = [
     "ContinuousUpdater",
     "BlockChecker",
     "CheckReport",
-    "BatchSweepReport",
     "PackedSweepReport",
-    "check_all_batched",
     "check_all_batched_packed",
 ]

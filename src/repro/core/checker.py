@@ -24,20 +24,14 @@ import numpy as np
 from repro.core.blocks import BlockGrid
 from repro.core.checkstore import CheckStore
 from repro.core.code import (
-    BATCH_CTR_CHECK_ERROR,
-    BATCH_DATA_ERROR,
-    BATCH_LEAD_CHECK_ERROR,
-    BATCH_NO_ERROR,
-    BATCH_UNCORRECTABLE,
     CheckBitError,
     DataError,
     DecodeOutcome,
     DecodeStatus,
     DiagonalParityCode,
-    NoError,
+    PackedBatchDecode,
     Uncorrectable,
 )
-from repro.core.code import PackedBatchDecode
 from repro.errors import UncorrectableError
 from repro.utils.backend import ArrayBackend, BackendLike, get_backend
 from repro.utils.bitpack import or_reduce_words, unpack_batch
@@ -171,94 +165,8 @@ class BlockChecker:
 
 
 @dataclass
-class BatchSweepReport:
-    """Vectorized analogue of :class:`SweepReport` for ``B`` stacked trials.
-
-    ``status`` is ``(B, b, b)`` of ``repro.core.code.BATCH_*`` codes, one
-    per block of each trial; ``corrected`` records whether the sweep ran
-    with corrections enabled (like ``CheckReport.corrected``, a
-    read-only sweep reports zero corrections).
-    """
-
-    status: np.ndarray
-    corrected: bool = True
-
-    @property
-    def trials(self) -> int:
-        return int(self.status.shape[0])
-
-    @property
-    def blocks_checked(self) -> int:
-        """Blocks checked across the whole batch."""
-        return int(self.status.size)
-
-    @property
-    def data_corrections(self) -> np.ndarray:
-        """Per-trial count of single-data-error corrections."""
-        if not self.corrected:
-            return np.zeros(self.trials, dtype=np.int64)
-        return (self.status == BATCH_DATA_ERROR).sum(axis=(1, 2))
-
-    @property
-    def check_bit_corrections(self) -> np.ndarray:
-        """Per-trial count of check-bit rewrites."""
-        if not self.corrected:
-            return np.zeros(self.trials, dtype=np.int64)
-        return ((self.status == BATCH_LEAD_CHECK_ERROR)
-                | (self.status == BATCH_CTR_CHECK_ERROR)).sum(axis=(1, 2))
-
-    @property
-    def uncorrectable_any(self) -> np.ndarray:
-        """Per-trial flag: at least one block reported uncorrectable."""
-        return (self.status == BATCH_UNCORRECTABLE).any(axis=(1, 2))
-
-    @property
-    def clean(self) -> np.ndarray:
-        """Per-trial flag: every block decoded to NO_ERROR."""
-        return (self.status == BATCH_NO_ERROR).all(axis=(1, 2))
-
-
-def check_all_batched(grid: BlockGrid, code: DiagonalParityCode,
-                      data, lead, ctr, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-    """Full-memory check of ``B`` stacked crossbars in one vectorized pass.
-
-    ``data`` is ``(B, n, n)`` uint8; ``lead``/``ctr`` are the stored
-    check-bit planes ``(B, m, b, b)``. With ``correct=True`` (the default)
-    corrections are applied **in place**: single data errors are flipped in
-    ``data``, single check-bit errors rewritten in ``lead``/``ctr`` —
-    mirroring :meth:`BlockChecker.check_all` block by block. Blocks are
-    independent (disjoint data cells and check-bits), so the vectorized
-    all-at-once correction is equivalent to the scalar row-major sweep.
-
-    The tensors live on ``backend`` (:mod:`repro.utils.backend`); pass
-    arrays already created through the same handle.
-    """
-    m = grid.m
-    xp = get_backend(backend).xp
-    syn_lead, syn_ctr = code.syndrome_batch(data, lead, ctr, backend=backend)
-    decoded = code.decode_batch(syn_lead, syn_ctr, backend=backend)
-    if correct:
-        # Single data errors: flip the located cell of each flagged block.
-        t, br, bc = xp.nonzero(decoded.status == BATCH_DATA_ERROR)
-        if t.size:
-            local_r, local_c = decoded.data_error_positions()
-            rows = br * m + local_r[t, br, bc]
-            cols = bc * m + local_c[t, br, bc]
-            data[t, rows, cols] ^= 1
-        # Single check-bit errors: rewrite the faulty stored bit.
-        t, br, bc = xp.nonzero(decoded.status == BATCH_LEAD_CHECK_ERROR)
-        if t.size:
-            lead[t, decoded.lead_index[t, br, bc], br, bc] ^= 1
-        t, br, bc = xp.nonzero(decoded.status == BATCH_CTR_CHECK_ERROR)
-        if t.size:
-            ctr[t, decoded.ctr_index[t, br, bc], br, bc] ^= 1
-    return BatchSweepReport(status=decoded.status, corrected=correct)
-
-
-@dataclass
 class PackedSweepReport:
-    """Bit-sliced analogue of :class:`BatchSweepReport`.
+    """Vectorized analogue of :class:`SweepReport` for stacked trials.
 
     ``decode`` holds the word-level status masks
     (:class:`repro.core.code.PackedBatchDecode`); ``batch`` is the true
@@ -329,7 +237,7 @@ def check_all_batched_packed(grid: BlockGrid, code: DiagonalParityCode,
                              ) -> PackedSweepReport:
     """Full-memory check of a packed word stack, 64 trials per word.
 
-    The bit-sliced analogue of :func:`check_all_batched`: ``words`` is
+    The batched analogue of :meth:`BlockChecker.check_all`: ``words`` is
     the ``(W, n, n)`` uint64 data stack and ``lead``/``ctr`` the stored
     ``(W, m, b, b)`` check-bit words (:mod:`repro.utils.bitpack`
     layout); ``batch`` is the true trial count. With ``correct=True``

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -80,44 +80,14 @@ class Uncorrectable:
 DecodeOutcome = Union[NoError, DataError, CheckBitError, Uncorrectable]
 
 
-#: Per-block status codes used by the vectorized batch decoder. The two
-#: check-bit planes get distinct codes (the scalar decoder distinguishes
-#: them via ``CheckBitError.plane``).
+#: Per-block status codes of :meth:`PackedBatchDecode.status_codes`. The
+#: two check-bit planes get distinct codes (the scalar decoder
+#: distinguishes them via ``CheckBitError.plane``).
 BATCH_NO_ERROR = 0
 BATCH_DATA_ERROR = 1
 BATCH_LEAD_CHECK_ERROR = 2
 BATCH_CTR_CHECK_ERROR = 3
 BATCH_UNCORRECTABLE = 4
-
-
-@dataclass(frozen=True)
-class BatchDecode:
-    """Vectorized decode of every block of a ``(B, n, n)`` stack.
-
-    ``status`` is ``(B, b, b)`` of ``BATCH_*`` codes; ``lead_index`` and
-    ``ctr_index`` are the argmax positions of each syndrome plane — only
-    meaningful where the corresponding status consumes them (the data
-    position for ``BATCH_DATA_ERROR``, the faulty check-bit diagonal for
-    the two check-error codes).
-    """
-
-    m: int
-    status: np.ndarray
-    lead_index: np.ndarray
-    ctr_index: np.ndarray
-
-    def data_error_positions(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Block-local ``(rows, cols)`` planes solving the diagonal pair.
-
-        Valid only where ``status == BATCH_DATA_ERROR``; elsewhere the
-        values are meaningless (computed from zero syndromes). Uses the
-        same modular inverse of 2 as :func:`repro.core.diagonals
-        .solve_position`.
-        """
-        inv2 = (self.m + 1) // 2
-        rows = ((self.lead_index + self.ctr_index) * inv2) % self.m
-        cols = ((self.lead_index - self.ctr_index) * inv2) % self.m
-        return rows, cols
 
 
 @dataclass(frozen=True)
@@ -129,7 +99,7 @@ class PackedBatchDecode:
     ``i % 64``). ``lead_syndrome``/``ctr_syndrome`` are ``(W, m, b, b)``;
     the five status masks are ``(W, b, b)`` with a bit set iff that
     trial's block carries the status — one mask per ``BATCH_*`` code,
-    with the two check planes separated like :class:`BatchDecode`.
+    with the two check planes kept separate.
 
     Tail rule: ``no_error`` is computed with complements, so its padding
     bits (trials beyond the true batch size) are *set*; the other four
@@ -151,7 +121,7 @@ class PackedBatchDecode:
                      backend: BackendLike = None) -> np.ndarray:
         """Unpack to the ``(B, b, b)`` uint8 ``BATCH_*`` code tensor.
 
-        The differential bridge to :class:`BatchDecode.status`; the hot
+        The differential bridge to the scalar per-block decoder; the hot
         path never calls it.
         """
         status = np.full((batch,) + tuple(self.no_error.shape[1:]),
@@ -162,6 +132,21 @@ class PackedBatchDecode:
                            (BATCH_CTR_CHECK_ERROR, self.ctr_check)):
             status[unpack_batch(mask, batch, backend=backend) != 0] = code
         return status
+
+
+def word_tiles(grid: BlockGrid, words, be):
+    """``(W, b, m, b, m)`` block view of a packed ``(W, n, n)`` stack.
+
+    The shared front end of every registered code's packed encoder:
+    coerces ``words`` to ``uint64`` on backend ``be`` and rejects a
+    stack whose cell shape does not match ``grid``.
+    """
+    n, m = grid.n, grid.m
+    words = be.xp.asarray(words, dtype=be.xp.uint64)
+    if words.ndim != 3 or words.shape[1:] != (n, n):
+        raise ValueError(f"expected (W, {n}, {n}) words, got {words.shape}")
+    b = grid.blocks_per_side
+    return words.reshape(words.shape[0], b, m, b, m)
 
 
 class DiagonalParityCode:
@@ -213,51 +198,33 @@ class DiagonalParityCode:
             store.ctr[d] = np.bitwise_xor.reduce(tiles[:, rs, :, cs], axis=0)
         return store
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        """Parity planes for a stack of ``B`` crossbars at once.
-
-        ``data`` is ``(B, n, n)``; returns ``(lead, ctr)`` planes of shape
-        ``(B, m, n/m, n/m)`` — the per-trial analogue of the
-        :class:`CheckStore` layout. This is the batched-campaign hot path:
-        one gather + XOR-reduce per diagonal covers every block of every
-        trial simultaneously. All tensor arithmetic runs on ``backend``
-        (see :mod:`repro.utils.backend`); only the tiny per-diagonal
-        ``m x m`` index tables are computed host-side.
-        """
-        be = get_backend(backend)
-        return self._encode_batch_impl(data, be, be.xp.uint8)
-
     def encode_batch_packed(self, words, backend: BackendLike = None) -> Tuple:
         """Parity planes of a packed ``(W, n, n)`` ``uint64`` word stack.
 
-        The bit-sliced analogue of :meth:`encode_batch`: ``words`` packs
-        the batch dimension 64 trials per word (:mod:`repro.utils
-        .bitpack` layout), and the returned ``(lead, ctr)`` planes are
-        ``(W, m, n/m, n/m)`` words. XOR is bitwise, so the exact same
-        gather + XOR-reduce per diagonal computes 64 trials per machine
-        word — this is the packed campaign hot path.
+        ``words`` packs the batch dimension 64 trials per word
+        (:mod:`repro.utils.bitpack` layout); the returned ``(lead, ctr)``
+        planes are ``(W, m, n/m, n/m)`` words — the per-trial analogue of
+        the :class:`CheckStore` layout. XOR is bitwise, so one gather +
+        XOR-reduce per diagonal covers every block of 64 trials per
+        machine word: this is the campaign hot path. All tensor
+        arithmetic runs on ``backend`` (see :mod:`repro.utils.backend`);
+        only the tiny per-diagonal ``m x m`` index tables are computed
+        host-side.
         """
         be = get_backend(backend)
-        return self._encode_batch_impl(words, be, be.xp.uint64)
-
-    def _encode_batch_impl(self, data, be, dtype) -> Tuple:
-        n, m = self.grid.n, self.grid.m
         xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
-        if data.ndim != 3 or data.shape[1:] != (n, n):
-            raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
-        b = self.grid.blocks_per_side
-        batch = data.shape[0]
-        tiles = data.reshape(batch, b, m, b, m)
+        m = self.grid.m
+        tiles = word_tiles(self.grid, words, be)
+        count, b = tiles.shape[0], self.grid.blocks_per_side
         r = np.arange(m)[:, None]
         c = np.arange(m)[None, :]
         lead_idx = (r + c) % m
         ctr_idx = (r - c) % m
-        lead = xp.empty((batch, m, b, b), dtype=dtype)
-        ctr = xp.empty((batch, m, b, b), dtype=dtype)
+        lead = xp.empty((count, m, b, b), dtype=xp.uint64)
+        ctr = xp.empty((count, m, b, b), dtype=xp.uint64)
         for d in range(m):
             # tiles[:, :, rs, :, cs] gathers the m cells of diagonal d from
-            # every block of every trial: shape (m, B, b, b) with the
+            # every block of every word: shape (m, W, b, b) with the
             # advanced axis first; XOR-reduce over the gathered cells.
             rs, cs = np.nonzero(lead_idx == d)
             lead[:, d] = be.xor_reduce(tiles[:, :, rs, :, cs], axis=0)
@@ -302,44 +269,6 @@ class DiagonalParityCode:
         lead_s, ctr_s = self.syndrome_block(block, lead_bits, ctr_bits)
         return self.decode(lead_s, ctr_s)
 
-    def syndrome_batch(self, data, lead_bits, ctr_bits,
-                       backend: BackendLike = None) -> Tuple:
-        """Syndrome planes for a ``(B, n, n)`` stack of crossbars.
-
-        ``lead_bits``/``ctr_bits`` are ``(B, m, n/m, n/m)`` stored
-        check-bit planes (e.g. from :meth:`encode_batch` on golden data);
-        the result has the same shape.
-        """
-        xp = get_backend(backend).xp
-        lead, ctr = self.encode_batch(data, backend=backend)
-        return (lead ^ xp.asarray(lead_bits, dtype=xp.uint8),
-                ctr ^ xp.asarray(ctr_bits, dtype=xp.uint8))
-
-    def decode_batch(self, lead_syndrome, ctr_syndrome,
-                     backend: BackendLike = None) -> "BatchDecode":
-        """Classify every block of every trial in one vectorized pass.
-
-        Input planes are ``(B, m, b, b)``; the result holds one status
-        code per ``(trial, block_row, block_col)`` plus the syndrome
-        positions needed to apply corrections (see :class:`BatchDecode`).
-        """
-        xp = get_backend(backend).xp
-        lead_syndrome = xp.asarray(lead_syndrome, dtype=xp.uint8)
-        ctr_syndrome = xp.asarray(ctr_syndrome, dtype=xp.uint8)
-        lead_ones = lead_syndrome.sum(axis=1, dtype=xp.int64)
-        ctr_ones = ctr_syndrome.sum(axis=1, dtype=xp.int64)
-        status = xp.full(lead_ones.shape, BATCH_UNCORRECTABLE, dtype=xp.uint8)
-        status[(lead_ones == 0) & (ctr_ones == 0)] = BATCH_NO_ERROR
-        status[(lead_ones == 1) & (ctr_ones == 1)] = BATCH_DATA_ERROR
-        status[(lead_ones == 1) & (ctr_ones == 0)] = BATCH_LEAD_CHECK_ERROR
-        status[(lead_ones == 0) & (ctr_ones == 1)] = BATCH_CTR_CHECK_ERROR
-        return BatchDecode(
-            m=self.grid.m,
-            status=status,
-            lead_index=xp.argmax(lead_syndrome, axis=1),
-            ctr_index=xp.argmax(ctr_syndrome, axis=1),
-        )
-
     def syndrome_batch_packed(self, words, lead_words, ctr_words,
                               backend: BackendLike = None) -> Tuple:
         """Packed syndrome planes: stored words XOR fresh packed parity.
@@ -359,9 +288,9 @@ class DiagonalParityCode:
                             ) -> "PackedBatchDecode":
         """Bit-parallel classification of packed syndrome planes.
 
-        Where :meth:`decode_batch` counts syndrome ones with an integer
-        ``sum`` per trial, the packed decoder runs a carry-save sideways
-        counter over the ``m`` diagonal planes
+        Where the scalar :meth:`decode` counts the ones of one syndrome
+        pair, the packed decoder runs a carry-save sideways counter over
+        the ``m`` diagonal planes
         (:func:`repro.utils.bitpack.decode_status_masks`, fused on the
         compiled kernel tier), classifying 64 trials per word:
 

@@ -75,12 +75,7 @@ import numpy as np
 
 from repro.core.altcodes import RowColParityCode, UpdateCost, update_cost
 from repro.core.blocks import BlockGrid
-from repro.core.checker import (
-    BatchSweepReport,
-    PackedSweepReport,
-    check_all_batched,
-    check_all_batched_packed,
-)
+from repro.core.checker import PackedSweepReport, check_all_batched_packed
 from repro.core.code import (
     BATCH_CTR_CHECK_ERROR,
     BATCH_DATA_ERROR,
@@ -94,6 +89,7 @@ from repro.core.code import (
     NoError,
     PackedBatchDecode,
     Uncorrectable,
+    word_tiles,
 )
 from repro.utils.backend import BackendLike, get_backend
 from repro.utils.bitpack import (
@@ -114,6 +110,8 @@ __all__ = [
     "build_code",
     "code_names",
     "CODE_KINDS",
+    "encode_stack",
+    "check_stack",
 ]
 
 
@@ -121,11 +119,11 @@ class BlockCode:
     """Interface every registered per-block code implements.
 
     The campaign engine only touches this surface: plane geometry,
-    batched encode (u8 and u64-packed), batched check-and-correct
-    returning a sweep report with per-trial ``uncorrectable_any``, and
-    the scalar per-block encode/decode the differential reference
-    replays. Storage and update-cost accessors feed the selector and
-    the area model.
+    batched encode and check-and-correct over the packed ``uint64``
+    layout (:mod:`repro.utils.bitpack`) returning a sweep report with
+    per-trial ``uncorrectable_any``, and the scalar per-block
+    encode/decode the differential reference replays. Storage and
+    update-cost accessors feed the selector and the area model.
     """
 
     #: Registered name (set by subclasses).
@@ -188,18 +186,9 @@ class BlockCode:
     # Batched path
     # ------------------------------------------------------------------ #
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        """Check planes of a ``(B, n, n)`` uint8 stack, in code order."""
-        raise NotImplementedError
-
     def encode_batch_packed(self, words,
                             backend: BackendLike = None) -> Tuple:
         """Check planes of a packed ``(W, n, n)`` uint64 word stack."""
-        raise NotImplementedError
-
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        """Check-and-correct every block of a u8 stack, in place."""
         raise NotImplementedError
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
@@ -250,18 +239,9 @@ class DiagonalBlockCode(BlockCode):
         lead_bits, ctr_bits = plane_bits
         return self.inner.decode_block(block, lead_bits, ctr_bits)
 
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        return self.inner.encode_batch(data, backend=backend)
-
     def encode_batch_packed(self, words,
                             backend: BackendLike = None) -> Tuple:
         return self.inner.encode_batch_packed(words, backend=backend)
-
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        lead, ctr = planes
-        return check_all_batched(self.grid, self.inner, data, lead, ctr,
-                                 correct=correct, backend=backend)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
@@ -282,9 +262,9 @@ class RowColBlockCode(BlockCode):
 
     Scalar semantics are exactly :class:`repro.core.altcodes
     .RowColParityCode`; the batched kernels mirror the diagonal code's
-    (syndrome one-counts classify, argmax locates) with the trivial
-    position solve — row syndrome index IS the row, column index IS the
-    column.
+    (sideways syndrome counts classify, one masked XOR per cell
+    corrects) with the trivial position solve — row syndrome index IS
+    the row, column index IS the column.
     """
 
     name = "rowcol"
@@ -309,62 +289,20 @@ class RowColBlockCode(BlockCode):
         row_bits, col_bits = plane_bits
         return self.inner.decode_block(block, row_bits, col_bits)
 
-    def _encode_impl(self, data, be, dtype) -> Tuple:
-        n, m = self.grid.n, self.grid.m
+    def encode_batch_packed(self, words,
+                            backend: BackendLike = None) -> Tuple:
+        be = get_backend(backend)
         xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
-        if data.ndim != 3 or data.shape[1:] != (n, n):
-            raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
-        b = self.grid.blocks_per_side
-        batch = data.shape[0]
-        tiles = data.reshape(batch, b, m, b, m)
-        rows = xp.empty((batch, m, b, b), dtype=dtype)
-        cols = xp.empty((batch, m, b, b), dtype=dtype)
+        m = self.grid.m
+        tiles = word_tiles(self.grid, words, be)
+        count, b = tiles.shape[0], self.grid.blocks_per_side
+        rows = xp.empty((count, m, b, b), dtype=xp.uint64)
+        cols = xp.empty((count, m, b, b), dtype=xp.uint64)
         for d in range(m):
             # Row parity d of every block: reduce over that row's m cells.
             rows[:, d] = be.xor_reduce(tiles[:, :, d, :, :], axis=3)
             cols[:, d] = be.xor_reduce(tiles[:, :, :, :, d], axis=2)
         return rows, cols
-
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(data, be, be.xp.uint8)
-
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(words, be, be.xp.uint64)
-
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
-        m = self.grid.m
-        row_bits, col_bits = planes
-        fresh_r, fresh_c = self.encode_batch(data, backend=be)
-        syn_r = fresh_r ^ xp.asarray(row_bits, dtype=xp.uint8)
-        syn_c = fresh_c ^ xp.asarray(col_bits, dtype=xp.uint8)
-        r_ones = syn_r.sum(axis=1, dtype=xp.int64)
-        c_ones = syn_c.sum(axis=1, dtype=xp.int64)
-        status = xp.full(r_ones.shape, BATCH_UNCORRECTABLE, dtype=xp.uint8)
-        status[(r_ones == 0) & (c_ones == 0)] = BATCH_NO_ERROR
-        status[(r_ones == 1) & (c_ones == 1)] = BATCH_DATA_ERROR
-        status[(r_ones == 1) & (c_ones == 0)] = BATCH_LEAD_CHECK_ERROR
-        status[(r_ones == 0) & (c_ones == 1)] = BATCH_CTR_CHECK_ERROR
-        row_idx = xp.argmax(syn_r, axis=1)
-        col_idx = xp.argmax(syn_c, axis=1)
-        if correct:
-            t, br, bc = xp.nonzero(status == BATCH_DATA_ERROR)
-            if t.size:
-                data[t, br * m + row_idx[t, br, bc],
-                     bc * m + col_idx[t, br, bc]] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_LEAD_CHECK_ERROR)
-            if t.size:
-                row_bits[t, row_idx[t, br, bc], br, bc] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_CTR_CHECK_ERROR)
-            if t.size:
-                col_bits[t, col_idx[t, br, bc], br, bc] ^= 1
-        return BatchSweepReport(status=status, corrected=correct)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
@@ -469,7 +407,7 @@ class MatrixBlockCode(BlockCode):
     weight->=3 invariant (validated here) makes ``diff``-matching an
     exact SEC-DED decode — see the module docstring.
 
-    The u8 decode classifies through a ``2^r`` lookup table on the
+    The scalar decode classifies through a ``2^r`` lookup table on the
     syndrome integer; the packed decode tests each pattern with an AND
     of (possibly complemented) syndrome planes. Every pattern has at
     least one *non-complemented* term, so packed match masks keep zero
@@ -558,59 +496,22 @@ class MatrixBlockCode(BlockCode):
     # Batched path
     # ------------------------------------------------------------------ #
 
-    def _encode_impl(self, data, be, dtype) -> Tuple:
-        n, m = self.grid.n, self.grid.m
-        xp = be.xp
-        data = xp.asarray(data, dtype=dtype)
-        if data.ndim != 3 or data.shape[1:] != (n, n):
-            raise ValueError(f"expected (B, {n}, {n}) data, got {data.shape}")
-        b = self.grid.blocks_per_side
-        batch = data.shape[0]
-        tiles = data.reshape(batch, b, m, b, m)
-        plane = xp.zeros((batch, self.r, b, b), dtype=dtype)
+    def encode_batch_packed(self, words,
+                            backend: BackendLike = None) -> Tuple:
+        be = get_backend(backend)
+        m = self.grid.m
+        tiles = word_tiles(self.grid, words, be)
+        count, b = tiles.shape[0], self.grid.blocks_per_side
+        plane = be.xp.zeros((count, self.r, b, b), dtype=be.xp.uint64)
         for j, ps in enumerate(self._positions_by_check):
             if not ps.size:
                 continue
             rs, cs = ps // m, ps % m
             # tiles[:, :, rs, :, cs] gathers check bit j's data cells from
-            # every block of every trial: (w_j, B, b, b), advanced axis
+            # every block of every word: (w_j, W, b, b), advanced axis
             # first — the same gather the diagonal encoder uses.
             plane[:, j] = be.xor_reduce(tiles[:, :, rs, :, cs], axis=0)
         return (plane,)
-
-    def encode_batch(self, data, backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(data, be, be.xp.uint8)
-
-    def encode_batch_packed(self, words,
-                            backend: BackendLike = None) -> Tuple:
-        be = get_backend(backend)
-        return self._encode_impl(words, be, be.xp.uint64)
-
-    def check_batched(self, data, planes: Sequence, correct: bool = True,
-                      backend: BackendLike = None) -> BatchSweepReport:
-        be = get_backend(backend)
-        xp = be.xp
-        m = self.grid.m
-        (stored,) = planes
-        (fresh,) = self.encode_batch(data, backend=be)
-        diff = fresh ^ xp.asarray(stored, dtype=xp.uint8)
-        synint = xp.zeros((diff.shape[0],) + tuple(diff.shape[2:]),
-                          dtype=xp.int64)
-        for j in range(self.r):
-            synint = synint + diff[:, j].astype(xp.int64) * (1 << j)
-        lut_status = be.from_numpy(self._lut_status)
-        lut_pos = be.from_numpy(self._lut_pos)
-        status = lut_status[synint]
-        if correct:
-            t, br, bc = xp.nonzero(status == BATCH_DATA_ERROR)
-            if t.size:
-                pos = lut_pos[synint[t, br, bc]]
-                data[t, br * m + pos // m, bc * m + pos % m] ^= 1
-            t, br, bc = xp.nonzero(status == BATCH_LEAD_CHECK_ERROR)
-            if t.size:
-                stored[t, lut_pos[synint[t, br, bc]], br, bc] ^= 1
-        return BatchSweepReport(status=status, corrected=correct)
 
     def check_batched_packed(self, words, planes: Sequence, batch: int,
                              correct: bool = True,
@@ -705,6 +606,82 @@ def _build_hsiao(grid: BlockGrid) -> MatrixBlockCode:
 def _build_hamming_ext(grid: BlockGrid) -> MatrixBlockCode:
     r, pats = extended_hamming_patterns(grid.cells_per_block)
     return MatrixBlockCode(grid, "hamming_ext", r, pats)
+
+
+# ---------------------------------------------------------------------- #
+# Scalar stack reference
+# ---------------------------------------------------------------------- #
+#
+# The packed batch kernels' oracle: a code's scalar per-block
+# ``encode_block`` / ``decode_block`` pair run over every block of every
+# trial of a host ``(B, n, n)`` uint8 stack. ``code`` is any object with
+# that pair and a ``grid`` — a :class:`BlockCode` or
+# :class:`repro.core.code.DiagonalParityCode`. Slow by construction: the
+# per-trial replay of :func:`repro.faults.batch.run_reference` and the
+# differential suites use it, campaigns never do.
+
+def _plane_names(code) -> Tuple[str, ...]:
+    return getattr(code, "plane_names", ("leading", "counter"))
+
+
+def encode_stack(code, data: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Code-ordered ``(B, rk, b, b)`` uint8 check planes of a stack."""
+    grid = code.grid
+    m, b = grid.m, grid.blocks_per_side
+    data = np.asarray(data, dtype=np.uint8)
+    planes = None
+    for t in range(data.shape[0]):
+        for br in range(b):
+            for bc in range(b):
+                block = data[t, br * m:(br + 1) * m, bc * m:(bc + 1) * m]
+                bits = code.encode_block(block)
+                if planes is None:
+                    planes = tuple(
+                        np.zeros((data.shape[0], len(v), b, b),
+                                 dtype=np.uint8) for v in bits)
+                for plane, v in zip(planes, bits):
+                    plane[t, :, br, bc] = v
+    return planes
+
+
+def check_stack(code, data: np.ndarray, planes: Sequence[np.ndarray],
+                correct: bool = True) -> np.ndarray:
+    """Decode every block of every trial; return ``(B, b, b)`` codes.
+
+    The codes are the ``BATCH_*`` constants of :mod:`repro.core.code`
+    (a check-bit error in plane 0 maps to ``BATCH_LEAD_CHECK_ERROR``,
+    in plane 1 to ``BATCH_CTR_CHECK_ERROR``). With ``correct=True``
+    the decoded corrections are applied to ``data`` and ``planes`` in
+    place, block by block, like :meth:`repro.core.checker.BlockChecker
+    .check_all`.
+    """
+    grid = code.grid
+    m, b = grid.m, grid.blocks_per_side
+    names = _plane_names(code)
+    status = np.empty((data.shape[0], b, b), dtype=np.uint8)
+    for t in range(data.shape[0]):
+        for br in range(b):
+            for bc in range(b):
+                rows = slice(br * m, (br + 1) * m)
+                cols = slice(bc * m, (bc + 1) * m)
+                outcome = code.decode_block(
+                    data[t, rows, cols], *(p[t, :, br, bc] for p in planes))
+                if isinstance(outcome, NoError):
+                    status[t, br, bc] = BATCH_NO_ERROR
+                elif isinstance(outcome, DataError):
+                    status[t, br, bc] = BATCH_DATA_ERROR
+                    if correct:
+                        data[t, br * m + outcome.row,
+                             bc * m + outcome.col] ^= 1
+                elif isinstance(outcome, CheckBitError):
+                    p = names.index(outcome.plane)
+                    status[t, br, bc] = (BATCH_LEAD_CHECK_ERROR if p == 0
+                                         else BATCH_CTR_CHECK_ERROR)
+                    if correct:
+                        planes[p][t, outcome.index, br, bc] ^= 1
+                else:
+                    status[t, br, bc] = BATCH_UNCORRECTABLE
+    return status
 
 
 #: Registered code kinds: name -> builder(grid). Mirrors the injector

@@ -43,8 +43,10 @@ WIRE_FORMAT = "repro/shard-task"
 #: carry an optional ``trace`` routing block (``{"id", "span"}``) for
 #: cross-process tracing. The task schema is unchanged; the trace block
 #: rides *outside* the digest-stamped body, so unit ids, content
-#: digests, and dedupe keys are unaffected by whether tracing is on.
-WIRE_VERSION = 4
+#: digests, and dedupe keys are unaffected by whether tracing is on;
+#: 5 = removed the ``packing`` field (the packed ``uint64`` layout is
+#: the only batched engine), so v4 envelopes are refused.
+WIRE_VERSION = 5
 
 
 class WireFormatError(ValueError):

@@ -412,7 +412,6 @@ class ShardWorker:
             with tracer.span(trace_id, "unit.execute", parent=parent,
                              attrs={"unit": unit_id, "lo": lo, "hi": hi,
                                     "code": task.code,
-                                    "packing": task.packing,
                                     "kernels": task.kernels_name}
                              ) as span:
                 with HeartbeatThread(self.source, unit_id,

@@ -4,18 +4,20 @@ The scalar :class:`repro.faults.campaign.FaultCampaign` runs one trial at
 a time: fresh crossbar, encode, inject, full Python-loop check sweep.
 That loop is the slowest path in the repo (the Sec. V-A binomial-model
 validation and the MTTF benches all sit on it). This module runs ``B``
-trials as stacked tensors instead:
+trials as bit-sliced word tensors instead (see "Packed bit-slice
+layout" below):
 
-* data fill        — ``(B, n, n)`` uint8 stack, one trial per slice;
-* check planes     — ``(B, rk, b, b)`` stacks, one per code plane
-  (:meth:`repro.core.registry.BlockCode.encode_batch`; the default
-  diagonal code stores the leading/counter pair);
+* data fill        — per-trial ``(n, n)`` draws staged host-side, then
+  packed 64 trials per ``uint64`` word into a ``(W, n, n)`` stack;
+* check planes     — ``(W, rk, b, b)`` word stacks, one per code plane
+  (:meth:`repro.core.registry.BlockCode.encode_batch_packed`; the
+  default diagonal code stores the leading/counter pair);
 * injection        — :meth:`repro.faults.injector.FaultInjector
-  .inject_batch_planes`, flat ground-truth event arrays;
+  .inject_batch_planes_packed`, flat ground-truth event arrays;
 * check sweep      — :meth:`repro.core.registry.BlockCode
-  .check_batched`, one vectorized syndrome/decode/correct pass over
-  every block of every trial;
-* classification   — golden compare + per-trial reductions into the same
+  .check_batched_packed`, one bit-parallel syndrome/decode/correct pass
+  over every block of every trial;
+* classification   — golden compare + word popcounts into the same
   :class:`repro.faults.campaign.CampaignResult` tallies the scalar
   campaign produces.
 
@@ -50,9 +52,10 @@ Sharding uses a ``concurrent.futures`` process pool: trials are split
 into contiguous ranges (:func:`repro.utils.rng.shard_bounds`), each
 worker rebuilds the engine from a picklable :class:`ShardTask` (grid
 geometry, injector, entropy, backend name) and runs its range in
-``batch_size`` chunks. Peak memory per worker is about
-``5 * batch_size * n**2`` bytes (data + golden + masks), so large-``n``
-sweeps should lower ``batch_size`` rather than trials.
+``batch_size`` chunks. Peak memory per worker is dominated by the
+host-side ``uint8`` staging of the draws, about ``batch_size * n**2``
+bytes (the packed data and golden words add an eighth of that each), so
+large-``n`` sweeps should lower ``batch_size`` rather than trials.
 
 Service-sharded execution
 -------------------------
@@ -73,8 +76,8 @@ Both contracts therefore extend verbatim to service execution:
   restart: merging checkpointed spans with freshly executed ones (in
   ``lo`` order, via :func:`merge_results`) is bit-identical to an
   uninterrupted run, which is in turn bit-identical to an in-process
-  ``CampaignRunner.run`` with the same entropy — for either
-  ``packing`` and any registered backend. The differential suite
+  ``CampaignRunner.run`` with the same entropy — for any registered
+  backend and kernel tier. The differential suite
   ``tests/service/`` pins service-executed == in-process results.
 
 The same purity is what makes spans *relocatable across hosts*: the
@@ -102,7 +105,7 @@ backend).
 
 Orthogonally, ``kernels=`` selects the host-side kernel tier
 (:mod:`repro.utils.kernels`: pure numpy, or the optional compiled
-extension) for the packed layout's word-level hot loops. Tiers are
+extension) for the word-level hot loops. Tiers are
 bit-identical by contract, engage only when the resolved backend's
 arrays are plain numpy, and — like the backend — cross process
 boundaries by resolved *name* on every :class:`ShardTask`, so sharded,
@@ -112,12 +115,11 @@ each span and fail loudly on a worker that cannot provide it.
 Packed bit-slice layout
 =======================
 
-``packing="u64"`` on :class:`BatchCampaign` / :class:`CampaignRunner`
-switches the execution tensors from one uint8 byte per trial bit to the
-bit-sliced layout of :mod:`repro.utils.bitpack`: the batch dimension is
-packed 64 trials per ``uint64`` word, so a ``(B, n, n)`` stack becomes
-``(ceil(B/64), n, n)`` words and every XOR/AND/OR kernel op processes 64
-trials at once.
+The engine's only tensor layout is the bit slice of
+:mod:`repro.utils.bitpack`: the batch dimension is packed 64 trials per
+``uint64`` word, so ``B`` trials of ``(n, n)`` cells become a
+``(ceil(B/64), n, n)`` word stack and every XOR/AND/OR kernel op
+processes 64 trials at once. The scalar engine stays the oracle.
 
 * **Word layout:** trial ``i`` occupies bit ``i % 64`` (little-endian:
   bit ``j`` of a word is ``(word >> j) & 1``) of word ``i // 64``.
@@ -126,23 +128,22 @@ trials at once.
   are never written by injection or correction (all flip masks are ANDs
   of zero-padded state); derived masks built with complements may carry
   garbage there, so every unpacking consumer trims to the true ``B``.
-* **Seeding stays layout-invariant:** random fields are drawn host-side
-  per trial *before* any layout decision — the staged draws are packed
-  (or staged as uint8) afterwards, and injector draws are converted to
-  flip events that apply to either layout. Both seeding contracts above
-  therefore hold verbatim under ``packing="u64"``: a sequential packed
-  run is bit-identical to the scalar ``FaultCampaign`` and a per-trial
-  packed run is shard-layout invariant, for any ``B % 64`` remainder.
-  The differential suite ``tests/faults/test_packed_equivalence.py``
-  pins packed == unpacked == scalar across the injector family.
+* **Seeding is layout-free:** random fields are drawn host-side per
+  trial *before* packing, and injector draws are converted to flip
+  events before they touch the words. Both seeding contracts above
+  therefore hold for the packed engine: a sequential run is
+  bit-identical to the scalar ``FaultCampaign`` and a per-trial run is
+  shard-layout invariant, for any ``B % 64`` remainder. The
+  differential suite ``tests/faults/test_packed_equivalence.py`` pins
+  packed == scalar across the injector family.
 
 Every simulator in the library rides this engine: uniform/burst/check-bit
 SER campaigns, the drift-window campaigns of
 :class:`repro.faults.drift.DriftInjector`, and the linear-burst survival
 analysis of :mod:`repro.reliability.burst` all dispatch through
 :class:`CampaignRunner`, inheriting batching, sharding, adaptive
-sampling (:meth:`CampaignRunner.run_adaptive`), backend selection, and
-the packed layout switch.
+sampling (:meth:`CampaignRunner.run_adaptive`), backend and kernel-tier
+selection.
 """
 
 from __future__ import annotations
@@ -155,14 +156,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.blocks import BlockGrid
-from repro.core.code import (
-    CheckBitError,
-    DataError,
-    Uncorrectable,
-)
-from repro.core.registry import build_code, code_names
+from repro.core.code import BATCH_UNCORRECTABLE
+from repro.core.registry import build_code, check_stack, code_names, \
+    encode_stack
 from repro.utils.bitpack import (
-    batch_tail_mask,
     or_reduce_words,
     pack_batch,
     popcount_words,
@@ -188,12 +185,8 @@ from repro.utils.rng import (
 )
 from repro.utils.stats import wilson_interval
 
-#: Default trials per vectorized block; ~5 * 64 * n^2 bytes of peak state.
+#: Default trials per vectorized block (one packed word of trials).
 DEFAULT_BATCH_SIZE = 64
-
-#: Tensor layouts of the vectorized engine: one byte per trial bit
-#: (``"u8"``) or 64 trials bit-sliced into each uint64 word (``"u64"``).
-PACKINGS = ("u8", "u64")
 
 #: The campaign phases the engine's profiler times per block (the
 #: worker/scheduler add ``checkpoint_write`` at the persistence layer).
@@ -202,11 +195,11 @@ PROFILE_PHASES = ("fill", "pack", "encode", "inject", "decode_sweep",
 
 _SHARD_RUNS = obs_metrics.counter(
     "repro_shard_tasks_total",
-    "Shard-task executions, by kernel tier / packing / code.",
-    ("kernels", "packing", "code"))
+    "Shard-task executions, by kernel tier / code.",
+    ("kernels", "code"))
 _SHARD_SECONDS = obs_metrics.histogram(
     "repro_shard_seconds",
-    "Wall seconds per shard-task execution.", ("kernels", "packing"))
+    "Wall seconds per shard-task execution.", ("kernels",))
 _PHASE_SECONDS = obs_metrics.counter(
     "repro_shard_phase_seconds_total",
     "Cumulative seconds spent per campaign phase (profiled shards).",
@@ -260,21 +253,17 @@ class BatchCampaign:
     def __init__(self, grid: BlockGrid, injector: FaultInjector,
                  seed: SeedLike = None, include_check_bits: bool = True,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 backend: BackendLike = None, packing: str = "u8",
+                 backend: BackendLike = None,
                  code: str = "diagonal", kernels: KernelsLike = None,
                  profile: Optional[PhaseProfile] = None):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if packing not in PACKINGS:
-            raise ValueError(f"packing must be one of {PACKINGS}, "
-                             f"got {packing!r}")
         self.grid = grid
         self.injector = injector
         self.rng = make_rng(seed)
         self.include_check_bits = include_check_bits
         self.batch_size = batch_size
         self.backend = get_backend(backend)
-        self.packing = packing
         self.code_name = code
         self.code = build_code(code, grid)
         self.kernels = get_kernels(kernels)
@@ -339,12 +328,19 @@ class BatchCampaign:
         drawn per trial — never as one ``(B, ...)`` draw — because
         numpy's bounded-integer generation buffers bits within a call;
         only per-trial calls keep the stream identical to the scalar
-        engine for every chunking. The staged host draws then execute on
-        either tensor layout (``packing``): the draw order is fixed
-        before the layout comes into play, which is what makes the
-        tallies packing-invariant.
+        engine for every chunking.
+
+        The staged draws are then packed 64 trials per word and run
+        through the packed encode / inject / check kernels — every
+        per-trial tensor op becomes a word op over 64 trials.
+        Classification stays in the packed domain end to end: the golden
+        compare OR-reduces difference words, the faulty-trial flags are
+        the packed ``totals != 0`` mask, and the four tallies fall out of
+        word popcounts — no state tensor is ever unpacked.
         """
         n = self.grid.n
+        be = self.backend
+        kern = self.kernels
         t_fill = perf_counter_ns()
         stage = np.empty((batch, n, n), dtype=np.uint8)
         if data_rngs is None:
@@ -354,91 +350,6 @@ class BatchCampaign:
         else:
             for i, rng in enumerate(data_rngs):
                 stage[i] = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if self.profile is not None:
-            self.profile.add("fill", perf_counter_ns() - t_fill)
-        if self.packing == "u64":
-            injection, counts = self._execute_packed(batch, stage,
-                                                     inject_rngs)
-        else:
-            injection, counts = self._execute_u8(batch, stage, inject_rngs)
-        clean, corrected, detected, silent = counts
-
-        totals = injection.totals
-        multi = injection.multi_fault_blocks(self.grid)
-        return CampaignResult(
-            trials=batch,
-            clean=clean,
-            corrected=corrected,
-            detected=detected,
-            silent=silent,
-            injected_faults=int(totals.sum()),
-            blocks_with_multi_faults=int(multi.sum()),
-        )
-
-    def _execute_u8(self, batch: int, stage: np.ndarray,
-                    inject_rngs: Optional[Sequence[np.random.Generator]],
-                    ) -> tuple:
-        """Unpacked ``(B, n, n)`` uint8 execution of one staged block.
-
-        Returns ``(injection, (clean, corrected, detected, silent))``.
-        """
-        be = self.backend
-        # Draws are always host-side numpy (the seeding contract); the
-        # stack crosses onto the backend once, here.
-        t0 = perf_counter_ns()
-        data = be.from_numpy(stage)
-
-        planes = self.code.encode_batch(data, backend=be)
-        golden = data.copy()
-        golden_planes = tuple(p.copy() for p in planes)
-        t1 = perf_counter_ns()
-
-        injection = self.injector.inject_batch_planes(
-            data, planes if self.include_check_bits else (),
-            rngs=inject_rngs, backend=be)
-        t2 = perf_counter_ns()
-
-        sweep = self.code.check_batched(data, planes, correct=True,
-                                        backend=be)
-        t3 = perf_counter_ns()
-
-        restored = (data == golden).reshape(batch, -1).all(axis=1)
-        for p, g in zip(planes, golden_planes):
-            restored = restored & (p == g).reshape(batch, -1).all(axis=1)
-        restored = be.to_numpy(restored)
-        uncorrectable = be.to_numpy(sweep.uncorrectable_any)
-
-        clean = injection.totals == 0
-        corrected = ~clean & restored
-        detected = ~clean & ~restored & uncorrectable
-        silent = ~clean & ~restored & ~uncorrectable
-        counts = (int(clean.sum()), int(corrected.sum()),
-                  int(detected.sum()), int(silent.sum()))
-        if self.profile is not None:
-            profile = self.profile
-            profile.add("encode", t1 - t0)
-            profile.add("inject", t2 - t1)
-            profile.add("decode_sweep", t3 - t2)
-            profile.add("tally", perf_counter_ns() - t3)
-        return injection, counts
-
-    def _execute_packed(self, batch: int, stage: np.ndarray,
-                        inject_rngs: Optional[Sequence[np.random.Generator]],
-                        ) -> tuple:
-        """Bit-sliced ``(W, n, n)`` uint64 execution of one staged block.
-
-        Packs the staged draws 64 trials per word, then runs the packed
-        encode / inject / check kernels — every per-trial tensor op
-        becomes a word op over 64 trials. Classification stays in the
-        packed domain end to end: the golden compare OR-reduces
-        difference words, the faulty-trial flags are the packed
-        ``totals != 0`` mask, and the four tallies fall out of word
-        popcounts — no state tensor is ever unpacked.
-
-        Returns ``(injection, (clean, corrected, detected, silent))``.
-        """
-        be = self.backend
-        kern = self.kernels
         t0 = perf_counter_ns()
         words = pack_batch(stage, backend=be, kernels=kern)
         t1 = perf_counter_ns()
@@ -467,7 +378,8 @@ class BatchCampaign:
         # tail garbage the complements below would otherwise admit;
         # ``uncorrectable`` is built from zero-padded syndromes and needs
         # no extra masking beyond that same AND.
-        faulty = pack_batch(injection.totals != 0, backend=be, kernels=kern)
+        totals = injection.totals
+        faulty = pack_batch(totals != 0, backend=be, kernels=kern)
         uncorrectable = or_reduce_words(sweep.decode.uncorrectable,
                                         axis=(1, 2), backend=be)
         corrected = faulty & ~damaged
@@ -479,16 +391,25 @@ class BatchCampaign:
                 mask_words, backend=be, kernels=kern)).sum())
 
         n_faulty = count(faulty)
-        counts = (batch - n_faulty, count(corrected),
-                  count(detected), count(silent))
+        result = CampaignResult(
+            trials=batch,
+            clean=batch - n_faulty,
+            corrected=count(corrected),
+            detected=count(detected),
+            silent=count(silent),
+            injected_faults=int(totals.sum()),
+            blocks_with_multi_faults=int(
+                injection.multi_fault_blocks(self.grid).sum()),
+        )
         if self.profile is not None:
             profile = self.profile
+            profile.add("fill", t0 - t_fill)
             profile.add("pack", t1 - t0)
             profile.add("encode", t2 - t1)
             profile.add("inject", t3 - t2)
             profile.add("decode_sweep", t4 - t3)
             profile.add("tally", perf_counter_ns() - t4)
-        return injection, counts
+        return result
 
 
 # ---------------------------------------------------------------------- #
@@ -520,7 +441,6 @@ class ShardTask:
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
     backend_name: str = "numpy"
-    packing: str = "u8"
     code: str = "diagonal"
     kernels_name: str = "numpy"
 
@@ -552,7 +472,6 @@ class ShardTask:
             "include_check_bits": self.include_check_bits,
             "batch_size": self.batch_size,
             "backend_name": self.backend_name,
-            "packing": self.packing,
             "code": self.code,
             "kernels_name": self.kernels_name,
         }
@@ -563,7 +482,7 @@ class ShardTask:
         from repro.faults.serialize import build_injector
         expected = {"n", "m", "injector", "entropy", "lo", "hi",
                     "include_check_bits", "batch_size", "backend_name",
-                    "packing", "code", "kernels_name"}
+                    "code", "kernels_name"}
         missing = sorted(expected - set(data))
         unknown = sorted(set(data) - expected)
         if missing or unknown:
@@ -577,7 +496,6 @@ class ShardTask:
             include_check_bits=bool(data["include_check_bits"]),
             batch_size=int(data["batch_size"]),
             backend_name=str(data["backend_name"]),
-            packing=str(data["packing"]),
             code=str(data["code"]),
             kernels_name=str(data["kernels_name"]))
 
@@ -625,17 +543,15 @@ def run_shard_task_profiled(task: ShardTask
     engine = BatchCampaign(BlockGrid(task.n, task.m), task.injector,
                            include_check_bits=task.include_check_bits,
                            batch_size=task.batch_size,
-                           backend=backend, packing=task.packing,
-                           code=task.code, kernels=kernels,
+                           backend=backend, code=task.code,
+                           kernels=kernels,
                            profile=profile)
     t0 = perf_counter_ns()
     result = engine.run_range_seeded(task.entropy, task.lo, task.hi)
     elapsed_ns = perf_counter_ns() - t0
     phases = profile.as_dict() if profile is not None else {}
-    _SHARD_RUNS.inc(kernels=kernels.name, packing=task.packing,
-                    code=task.code)
-    _SHARD_SECONDS.observe(elapsed_ns / 1e9, kernels=kernels.name,
-                           packing=task.packing)
+    _SHARD_RUNS.inc(kernels=kernels.name, code=task.code)
+    _SHARD_SECONDS.observe(elapsed_ns / 1e9, kernels=kernels.name)
     for phase, ns in phases.items():
         _PHASE_SECONDS.inc(ns / 1e9, phase=phase)
     return result, phases
@@ -678,50 +594,34 @@ def _run_reference_code(grid: BlockGrid, injector: FaultInjector,
     Consumes exactly the per-trial streams of the batched engine — data
     fill first, then the injector's :meth:`FaultInjector._draw_batch`
     with the code's plane shapes — and decodes block by block through
-    :meth:`repro.core.registry.BlockCode.decode_block`.
+    :meth:`repro.core.registry.BlockCode.decode_block`
+    (:func:`repro.core.registry.check_stack`).
     """
     blockcode = build_code(code, grid)
-    n, m = grid.n, grid.m
-    b = grid.blocks_per_side
+    n = grid.n
     shapes = blockcode.plane_shapes if include_check_bits else None
     out = CampaignResult()
     for i in range(trials):
         data_rng, inject_rng = trial_rngs(entropy, i)
-        data = data_rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        planes = [np.zeros(shape, dtype=np.uint8)
-                  for shape in blockcode.plane_shapes]
-        for br in range(b):
-            for bc in range(b):
-                block = data[br * m:(br + 1) * m, bc * m:(bc + 1) * m]
-                for p, bits in enumerate(blockcode.encode_block(block)):
-                    planes[p][:, br, bc] = bits
+        # One-trial stacks: the stack reference's leading axis.
+        data = data_rng.integers(0, 2, size=(1, n, n), dtype=np.uint8)
+        planes = encode_stack(blockcode, data)
         golden = data.copy()
         golden_planes = [p.copy() for p in planes]
 
         injection = injector._draw_batch(1, (n, n), shapes, [inject_rng])
         if injection.trial.size:
-            np.bitwise_xor.at(data, (injection.rows, injection.cols), 1)
+            np.bitwise_xor.at(data[0], (injection.rows, injection.cols), 1)
         for p in range(len(planes)):
             sel = injection.check_plane == p
             if sel.any():
                 np.bitwise_xor.at(
-                    planes[p], (injection.check_d[sel],
-                                injection.check_br[sel],
-                                injection.check_bc[sel]), 1)
+                    planes[p][0], (injection.check_d[sel],
+                                   injection.check_br[sel],
+                                   injection.check_bc[sel]), 1)
 
-        uncorrectable = False
-        for br in range(b):
-            for bc in range(b):
-                block = data[br * m:(br + 1) * m, bc * m:(bc + 1) * m]
-                outcome = blockcode.decode_block(
-                    block, *(p[:, br, bc] for p in planes))
-                if isinstance(outcome, DataError):
-                    data[br * m + outcome.row, bc * m + outcome.col] ^= 1
-                elif isinstance(outcome, CheckBitError):
-                    p = blockcode.plane_names.index(outcome.plane)
-                    planes[p][outcome.index, br, bc] ^= 1
-                elif isinstance(outcome, Uncorrectable):
-                    uncorrectable = True
+        status = check_stack(blockcode, data, planes, correct=True)
+        uncorrectable = bool((status == BATCH_UNCORRECTABLE).any())
 
         restored = bool(np.array_equal(data, golden)) and all(
             np.array_equal(p, g) for p, g in zip(planes, golden_planes))
@@ -799,12 +699,6 @@ class CampaignRunner:
         spawn-based pool start method (macOS/Windows default) a custom
         name must be registered at import time of a module workers
         import; built-in names always resolve.
-    packing:
-        ``"u8"`` (default, one byte per trial bit) or ``"u64"`` (the
-        bit-sliced layout: 64 trials packed per uint64 word — see the
-        module docstring). Tallies are identical either way; ``"u64"``
-        cuts memory traffic 8x on the campaign kernels. Only meaningful
-        for the batched engine.
     code:
         Registered block-code name (:func:`repro.core.registry
         .code_names`); default ``"diagonal"``. The scalar engine is the
@@ -825,7 +719,7 @@ class CampaignRunner:
                  engine: str = "batched",
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  workers: int = 1, seeding: Optional[str] = None,
-                 backend: BackendLike = None, packing: str = "u8",
+                 backend: BackendLike = None,
                  code: str = "diagonal", kernels: KernelsLike = None):
         if engine not in ("batched", "scalar"):
             raise ValueError(f"engine must be 'batched' or 'scalar', "
@@ -838,12 +732,6 @@ class CampaignRunner:
                              "implementation; non-diagonal codes require "
                              "engine='batched' (run_reference replays them "
                              "in scalar form)")
-        if packing not in PACKINGS:
-            raise ValueError(f"packing must be one of {PACKINGS}, "
-                             f"got {packing!r}")
-        if engine == "scalar" and packing != "u8":
-            raise ValueError("the scalar engine has no packed layout; "
-                             "packing='u64' requires engine='batched'")
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if seeding is None:
@@ -866,7 +754,6 @@ class CampaignRunner:
         self.workers = workers
         self.seeding = seeding
         self.backend = get_backend(backend)
-        self.packing = packing
         self.code = code
         self.kernels = get_kernels(kernels)
         if workers > 1:
@@ -904,7 +791,7 @@ class CampaignRunner:
             self.grid, self.injector, seed=self._seed,
             include_check_bits=self.include_check_bits,
             batch_size=self.batch_size, backend=self.backend,
-            packing=self.packing, code=self.code, kernels=self.kernels)
+            code=self.code, kernels=self.kernels)
 
     def _run_span(self, lo: int, hi: int,
                   pool: Optional[ProcessPoolExecutor] = None
@@ -921,8 +808,7 @@ class CampaignRunner:
             engine = BatchCampaign(self.grid, self.injector,
                                    include_check_bits=self.include_check_bits,
                                    batch_size=self.batch_size,
-                                   backend=self.backend,
-                                   packing=self.packing, code=self.code,
+                                   backend=self.backend, code=self.code,
                                    kernels=self.kernels)
             return merge_results([engine.run_range_seeded(self.entropy, a, b)
                                   for a, b in bounds])
@@ -948,8 +834,7 @@ class CampaignRunner:
                          self.entropy, lo, hi,
                          include_check_bits=self.include_check_bits,
                          batch_size=self.batch_size,
-                         backend_name=self.backend.name,
-                         packing=self.packing, code=self.code,
+                         backend_name=self.backend.name, code=self.code,
                          kernels_name=self.kernels.name)
 
     def run(self, trials: int) -> CampaignResult:

@@ -7,18 +7,16 @@ describing exactly what was flipped — campaigns need the ground truth to
 classify ECC behaviour as corrected / detected / miscorrected.
 
 The batched campaign engine (:mod:`repro.faults.batch`) drives the same
-models through :meth:`FaultInjector.inject_batch`, which upsets a stack of
-``B`` trials held as ``(B, n, n)`` / ``(B, m, b, b)`` tensors, and through
-:meth:`FaultInjector.inject_batch_packed`, which upsets the bit-sliced
-``uint64`` layout (64 trials per word, :mod:`repro.utils.bitpack`). All
-paths share the RNG-consuming draw core (:meth:`FaultInjector
-._draw_batch`), and every implementation draws per trial in the scalar
-order (data mask, then check plane 0, then plane 1, ...), so a batched
-run — packed or not — consumes an injector's stream exactly as ``B``
-scalar :meth:`inject` calls would; the host-side draws are converted to
-flip events first and only the application step depends on the layout.
-This is the property the differential test harnesses
-(`tests/faults/test_batch_equivalence.py`,
+models through :meth:`FaultInjector.inject_batch_planes_packed`, which
+upsets ``B`` trials held in the bit-sliced ``uint64`` layout (64 trials
+per word, :mod:`repro.utils.bitpack`). The batched path shares the
+RNG-consuming draw core (:meth:`FaultInjector._draw_batch`), and every
+implementation draws per trial in the scalar order (data mask, then
+check plane 0, then plane 1, ...), so a batched run consumes an
+injector's stream exactly as ``B`` scalar :meth:`inject` calls would;
+the host-side draws are converted to flip events first and only the
+application step touches the word layout. This is the property the
+differential test harnesses (`tests/faults/test_batch_equivalence.py`,
 `tests/faults/test_packed_equivalence.py`) pin down.
 
 Check planes are code-defined: the diagonal code stores two ``(m, b, b)``
@@ -172,46 +170,21 @@ class BatchInjectionResult:
                              self.check_bc[csel].tolist())],
         )
 
-    def apply_planes(self, data, planes: Sequence,
-                     backend: BackendLike = None) -> None:
-        """XOR every flip event into the batch tensors (in place).
-
-        ``planes`` is the code-ordered sequence of stored check-plane
-        tensors (``None`` entries are skipped — check memory not
-        exposed). The scatter applies repeated events as repeated
-        inversions, so duplicated cells cancel pairwise exactly like
-        repeated scalar :meth:`CrossbarArray.flip` calls. The tensors
-        live on ``backend`` (:meth:`repro.utils.backend.ArrayBackend
-        .scatter_xor`); the flip event arrays themselves always stay
-        host-side numpy.
-        """
-        be = get_backend(backend)
-        if self.trial.size:
-            be.scatter_xor(data, (self.trial, self.rows, self.cols))
-        for plane_id, plane in enumerate(planes):
-            if plane is None:
-                continue
-            sel = self.check_plane == plane_id
-            if sel.any():
-                be.scatter_xor(
-                    plane, (self.check_trial[sel], self.check_d[sel],
-                            self.check_br[sel], self.check_bc[sel]))
-
-    def apply(self, data, lead, ctr, backend: BackendLike = None) -> None:
-        """Two-plane (diagonal layout) wrapper over :meth:`apply_planes`."""
-        self.apply_planes(data, (lead, ctr), backend=backend)
-
     def apply_planes_packed(self, data, planes: Sequence,
                             backend: BackendLike = None) -> None:
         """XOR every flip event into packed ``uint64`` word tensors.
 
-        The bit-slice analogue of :meth:`apply_planes`: trial ``i``'s
-        event becomes the single-bit mask ``1 << (i % 64)`` scatter-XORed
-        into word ``i // 64`` at the event's cell
-        (:mod:`repro.utils.bitpack` layout), so duplicated events cancel
-        pairwise exactly like the unpacked scatter. The host-side event
-        arrays are the same either way — the ground truth is
-        layout-independent.
+        ``planes`` is the code-ordered sequence of stored check-plane
+        word tensors (``None`` entries are skipped — check memory not
+        exposed). Trial ``i``'s event becomes the single-bit mask
+        ``1 << (i % 64)`` scatter-XORed into word ``i // 64`` at the
+        event's cell (:mod:`repro.utils.bitpack` layout). The scatter
+        applies repeated events as repeated inversions, so duplicated
+        cells cancel pairwise exactly like repeated scalar
+        :meth:`CrossbarArray.flip` calls. The tensors live on
+        ``backend`` (:meth:`repro.utils.backend.ArrayBackend
+        .scatter_xor`); the flip event arrays themselves always stay
+        host-side numpy.
         """
         be = get_backend(backend)
         one = np.uint64(1)
@@ -289,56 +262,18 @@ class FaultInjector:
                     ) -> BatchInjectionResult:
         """Draw one round of upsets for ``batch`` trials (no application).
 
-        The layout-independent core both :meth:`inject_batch` and
-        :meth:`inject_batch_packed` share: concrete injectors implement
-        their per-trial draws here, in the scalar draw order, and the
-        base class applies the resulting ground truth to whichever
-        tensor layout is in play. ``plane_shapes`` is the code-ordered
-        tuple of per-trial check-plane shapes — ``((m, b, b), (m, b, b))``
-        for the diagonal layout, ``((r, b, b),)`` for a single-plane
-        matrix code — or ``None``/empty when check memory is not exposed.
+        The layout-independent core of :meth:`inject_batch_planes_packed`
+        (and of the per-code scalar replay in :mod:`repro.faults.batch`):
+        concrete injectors implement their per-trial draws here, in the
+        scalar draw order, and the base class applies the resulting
+        ground truth to the packed word tensors. ``plane_shapes`` is the
+        code-ordered tuple of per-trial check-plane shapes —
+        ``((m, b, b), (m, b, b))`` for the diagonal layout,
+        ``((r, b, b),)`` for a single-plane matrix code — or
+        ``None``/empty when check memory is not exposed.
         Draws happen per plane in tuple order, after the data draw.
         """
         raise NotImplementedError
-
-    def inject_batch_planes(self, data, planes: Sequence = (),
-                            rngs: Optional[Sequence[np.random.Generator]]
-                            = None,
-                            backend: BackendLike = None
-                            ) -> BatchInjectionResult:
-        """Apply one round of upsets to a ``(B, n, n)`` stack, in place.
-
-        ``planes`` is the code-ordered sequence of stored check-plane
-        tensors (each ``(B, rk, b, b)``); empty when check memory is not
-        exposed (the batched analogue of passing ``store=None`` to
-        :meth:`inject`). ``rngs`` supplies one generator per trial;
-        ``None`` consumes the injector's own stream sequentially, which
-        reproduces ``B`` scalar rounds bit-for-bit. ``backend`` names the
-        array backend holding the stacked tensors; draws always happen
-        host-side so the stream contract is backend-independent.
-        """
-        planes = tuple(planes)
-        shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
-        result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
-                                  shapes, rngs)
-        result.apply_planes(data, planes, backend=backend)
-        return result
-
-    def inject_batch(self, data, lead=None, ctr=None,
-                     rngs: Optional[Sequence[np.random.Generator]] = None,
-                     backend: BackendLike = None) -> BatchInjectionResult:
-        """Two-plane (diagonal layout) wrapper over
-        :meth:`inject_batch_planes`.
-
-        ``lead``/``ctr`` are the stored check-bit planes ``(B, m, b, b)``
-        or ``None`` when check memory is not exposed. As historically,
-        the two planes share ``lead``'s shape for the draws.
-        """
-        shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
-        result = self._draw_batch(int(data.shape[0]), tuple(data.shape[1:]),
-                                  shapes, rngs)
-        result.apply_planes(data, (lead, ctr), backend=backend)
-        return result
 
     def inject_batch_planes_packed(self, batch: int, data,
                                    planes: Sequence = (),
@@ -348,16 +283,18 @@ class FaultInjector:
                                    ) -> BatchInjectionResult:
         """Apply one round of upsets to a packed ``(W, n, n)`` word stack.
 
-        The bit-slice analogue of :meth:`inject_batch_planes`: ``data``
-        holds ``batch`` trials packed 64 per ``uint64`` word along axis 0
-        (:mod:`repro.utils.bitpack` layout) and ``planes`` the packed
-        ``(W, rk, b, b)`` check-bit words (empty when not exposed).
-        ``batch`` is the true trial count (it cannot be recovered from
-        ``W`` when ``batch % 64 != 0``). The RNG draws are identical to
-        the unpacked path — same per-trial order, same host-side streams
-        — so both seeding contracts of :mod:`repro.faults.batch` hold
-        regardless of layout; only the application step differs
-        (:meth:`BatchInjectionResult.apply_planes_packed`).
+        ``data`` holds ``batch`` trials packed 64 per ``uint64`` word
+        along axis 0 (:mod:`repro.utils.bitpack` layout) and ``planes``
+        the code-ordered packed ``(W, rk, b, b)`` check-bit words; empty
+        when check memory is not exposed (the batched analogue of
+        passing ``store=None`` to :meth:`inject`). ``batch`` is the true
+        trial count (it cannot be recovered from ``W`` when
+        ``batch % 64 != 0``). ``rngs`` supplies one generator per trial;
+        ``None`` consumes the injector's own stream sequentially, which
+        reproduces ``B`` scalar rounds bit-for-bit. Draws always happen
+        host-side, so both seeding contracts of :mod:`repro.faults.batch`
+        are backend-independent
+        (:meth:`BatchInjectionResult.apply_planes_packed` applies them).
         """
         planes = tuple(planes)
         shapes = tuple(tuple(p.shape[1:]) for p in planes) or None
@@ -372,7 +309,12 @@ class FaultInjector:
                             backend: BackendLike = None
                             ) -> BatchInjectionResult:
         """Two-plane (diagonal layout) wrapper over
-        :meth:`inject_batch_planes_packed`."""
+        :meth:`inject_batch_planes_packed`.
+
+        ``lead``/``ctr`` are the stored check-bit words ``(W, m, b, b)``
+        or ``None`` when check memory is not exposed; the two planes
+        share ``lead``'s shape for the draws.
+        """
         shapes = None if lead is None else (tuple(lead.shape[1:]),) * 2
         result = self._draw_batch(int(batch), tuple(data.shape[1:]),
                                   shapes, rngs)
@@ -608,7 +550,7 @@ class LinearBurstInjector(FaultInjector):
     survival from ``1/m`` down to ``(b-1)/(n-1)``.
 
     Draw order per trial is (lane, start) — two bounded-integer draws —
-    identically in :meth:`inject` and :meth:`inject_batch`, so the
+    identically in :meth:`inject` and :meth:`_draw_batch`, so the
     batched engine's sequential-seeding contract holds for this injector
     like every other.
     """

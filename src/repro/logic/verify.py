@@ -6,12 +6,12 @@ is randomized (batched numpy evaluation) with an exhaustive mode for small
 input counts; both are used by the circuit unit tests and by
 :func:`equivalence_check` to validate NOR mapping and SIMPLER execution.
 
-``LogicNetwork`` vectors are evaluated bit-sliced by default
-(``packing="u64"``): assignment batches are packed 64 per ``uint64``
-word and each gate evaluates with one word op per 64 assignments
-(:func:`repro.logic.eval.evaluate_packed`), with results bit-identical
-to the boolean path (``packing="u8"``). ``NorNetlist`` evaluation keeps
-its own boolean implementation either way.
+``LogicNetwork`` vectors are evaluated bit-sliced: assignment batches
+are packed 64 per ``uint64`` word and each gate evaluates with one word
+op per 64 assignments (:func:`repro.logic.eval.evaluate_packed`), with
+results bit-identical to the boolean reference
+:func:`repro.logic.eval.evaluate`. ``NorNetlist`` evaluation keeps its
+own boolean implementation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.logic.eval import evaluate, evaluate_vectors_packed
+from repro.logic.eval import evaluate_vectors_packed
 from repro.logic.netlist import LogicNetwork
 from repro.logic.norlist import NorNetlist
 from repro.utils.rng import SeedLike, make_rng
@@ -29,16 +29,12 @@ GoldenFn = Callable[[Dict[str, int]], Dict[str, int]]
 
 
 def _evaluate_vectors(net: LogicNetwork | NorNetlist,
-                      vectors: Mapping[str, np.ndarray],
-                      packing: str) -> Mapping[str, np.ndarray]:
-    """Evaluate a boolean vector batch on the selected layout."""
-    if packing not in ("u8", "u64"):
-        raise ValueError(f"packing must be 'u8' or 'u64', got {packing!r}")
+                      vectors: Mapping[str, np.ndarray]
+                      ) -> Mapping[str, np.ndarray]:
+    """Evaluate a boolean vector batch (bit-sliced for networks)."""
     if isinstance(net, NorNetlist):
         return net.evaluate(vectors)
-    if packing == "u64":
-        return evaluate_vectors_packed(net, vectors)
-    return evaluate(net, vectors)
+    return evaluate_vectors_packed(net, vectors)
 
 
 def random_vectors(input_names, trials: int, seed: SeedLike = None) -> Dict[str, np.ndarray]:
@@ -66,23 +62,16 @@ def _compare_batches(result: Mapping[str, np.ndarray],
 
 
 def random_check(net: LogicNetwork | NorNetlist, golden_fn: GoldenFn,
-                 trials: int = 64, seed: SeedLike = 0,
-                 packing: str = "u64") -> Optional[str]:
-    """Random equivalence check; returns None or a mismatch description.
-
-    ``packing`` selects the evaluation layout for ``LogicNetwork``
-    targets: ``"u64"`` (default) packs the vectors 64 assignments per
-    word, ``"u8"`` is the plain boolean path — results are identical.
-    """
+                 trials: int = 64, seed: SeedLike = 0) -> Optional[str]:
+    """Random equivalence check; returns None or a mismatch description."""
     names = net.input_names
     vectors = random_vectors(names, trials, seed)
-    result = _evaluate_vectors(net, vectors, packing)
+    result = _evaluate_vectors(net, vectors)
     return _compare_batches(result, golden_fn, vectors, trials)
 
 
 def exhaustive_check(net: LogicNetwork | NorNetlist, golden_fn: GoldenFn,
-                     max_inputs: int = 16,
-                     packing: str = "u64") -> Optional[str]:
+                     max_inputs: int = 16) -> Optional[str]:
     """Exhaustive equivalence check for networks with few inputs."""
     names = net.input_names
     k = len(names)
@@ -93,23 +82,21 @@ def exhaustive_check(net: LogicNetwork | NorNetlist, golden_fn: GoldenFn,
     for v in range(total):
         for i, name in enumerate(names):
             vectors[name][v] = bool((v >> i) & 1)
-    result = _evaluate_vectors(net, vectors, packing)
+    result = _evaluate_vectors(net, vectors)
     return _compare_batches(result, golden_fn, vectors, total)
 
 
 def equivalence_check(net: LogicNetwork | NorNetlist, golden_fn: GoldenFn,
                       trials: int = 64, seed: SeedLike = 0,
-                      exhaustive_threshold: int = 10,
-                      packing: str = "u64") -> None:
+                      exhaustive_threshold: int = 10) -> None:
     """Assert-style check: raises AssertionError with diagnostics on failure.
 
     Uses exhaustive enumeration when the input count is at most
-    ``exhaustive_threshold``, randomized vectors otherwise; ``packing``
-    picks the evaluation layout (see :func:`random_check`).
+    ``exhaustive_threshold``, randomized vectors otherwise.
     """
     if len(net.input_names) <= exhaustive_threshold:
-        message = exhaustive_check(net, golden_fn, packing=packing)
+        message = exhaustive_check(net, golden_fn)
     else:
-        message = random_check(net, golden_fn, trials, seed, packing=packing)
+        message = random_check(net, golden_fn, trials, seed)
     if message is not None:
         raise AssertionError(f"{getattr(net, 'name', 'network')}: {message}")

@@ -99,7 +99,6 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
                             workers: int = 1,
                             seeding: Optional[str] = None,
                             backend: BackendLike = None,
-                            packing: str = "u8",
                             ) -> BurstSurvivalResult:
     """Empirical burst survival through the real checker.
 
@@ -109,10 +108,9 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
     detected (uncorrectable reports — never silent corruption, which is
     asserted).
 
-    ``engine``/``batch_size``/``workers``/``seeding``/``backend``/
-    ``packing`` are the
-    :class:`repro.faults.batch.CampaignRunner` knobs: the default batched
-    engine sweeps trials as ``(B, n, n)`` stacks and, with the same
+    ``engine``/``batch_size``/``workers``/``seeding``/``backend`` are
+    the :class:`repro.faults.batch.CampaignRunner` knobs: the default
+    batched engine sweeps trials 64 per packed word and, with the same
     ``seed``, reproduces the scalar reference (``engine="scalar"``)
     bit-for-bit in sequential mode; ``workers > 1`` (or
     ``seeding="per-trial"``) switches to the shard-invariant per-trial
@@ -127,7 +125,7 @@ def simulate_burst_survival(grid: BlockGrid, length: int, trials: int,
         grid, LinearBurstInjector(length, orientation, seed=injector_seed),
         seed=campaign_seed, include_check_bits=True, engine=engine,
         batch_size=batch_size, workers=workers, seeding=seeding,
-        backend=backend, packing=packing)
+        backend=backend)
     result = runner.run(trials)
     # A linear burst can never alias to a correctable syndrome: within a
     # block its cells occupy distinct diagonals, so any block catching

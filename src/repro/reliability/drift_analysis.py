@@ -109,7 +109,6 @@ def simulate_drift_survival(grid: BlockGrid,
                             seeding: Optional[str] = None,
                             backend: BackendLike = None,
                             include_check_bits: bool = True,
-                            packing: str = "u8",
                             ) -> CampaignResult:
     """Grid-level drift survival through the real ECC machinery.
 
@@ -120,13 +119,12 @@ def simulate_drift_survival(grid: BlockGrid,
     of :func:`compare_protections` are built from.
 
     Dispatches through :class:`repro.faults.batch.CampaignRunner`, so
-    drift sweeps get the batched ``(B, n, n)`` kernels, process-pool
-    sharding, adaptive sampling, and array-backend selection with the
-    standard seeding contracts (``engine="scalar"`` is the bit-identical
-    sequential reference; per-trial mode is shard-invariant and needs an
-    integer seed). ``packing="u64"`` selects the bit-sliced uint64
-    layout (64 trials per word, identical tallies). The single ``seed``
-    is split into data-fill and injection streams via
+    drift sweeps get the packed batch kernels (64 trials per word),
+    process-pool sharding, adaptive sampling, and array-backend selection
+    with the standard seeding contracts (``engine="scalar"`` is the
+    bit-identical sequential reference; per-trial mode is shard-invariant
+    and needs an integer seed). The single ``seed`` is split into
+    data-fill and injection streams via
     :func:`repro.utils.rng.spawn_rngs`.
     """
     model = model or DriftModel()
@@ -139,7 +137,7 @@ def simulate_drift_survival(grid: BlockGrid,
                       include_check_bits=include_check_bits),
         seed=campaign_seed, include_check_bits=include_check_bits,
         engine=engine, batch_size=batch_size, workers=workers,
-        seeding=seeding, backend=backend, packing=packing)
+        seeding=seeding, backend=backend)
     return runner.run(trials)
 
 

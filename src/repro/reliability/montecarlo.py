@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.blocks import BlockGrid
-from repro.core.checker import check_all_batched
+from repro.core.checker import check_all_batched_packed
 from repro.core.code import DiagonalParityCode
 from repro.utils.backend import BackendLike, get_backend
+from repro.utils.bitpack import or_reduce_words, pack_batch, unpack_batch
 from repro.utils.rng import SeedLike, make_rng
 
-#: Trials per stacked block of the vectorized estimator (memory bound).
+#: Trials per packed block of the vectorized estimator (one word).
 _BATCH = 64
 
 
@@ -57,7 +58,7 @@ def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
     Each trial builds a random protected crossbar, injects upsets with
     per-cell probability ``p`` (optionally into check-bits as well), runs
     the full checker, and compares every block against the golden data.
-    ``backend`` selects the array backend of the vectorized sweep; draws
+    ``backend`` selects the array backend of the packed sweep; draws
     stay host-side, so tallies are backend-independent.
     """
     rng = make_rng(seed)
@@ -67,11 +68,11 @@ def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
     b = grid.blocks_per_side
     result = BlockTrialResult(trials, grid.block_count, 0, 0, 0, 0)
 
-    # Trials are stacked into (B, n, n) blocks and swept through the
-    # vectorized batch checker. Random fields are still drawn one trial
-    # at a time, in the original order (data, flip mask, leading plane,
-    # counter plane), so tallies are bit-identical to the historical
-    # scalar loop for any seed.
+    # Trials are packed 64 per uint64 word and swept through the packed
+    # batch checker. Random fields are still drawn one trial at a time,
+    # in the original order (data, flip mask, leading plane, counter
+    # plane), so tallies are bit-identical to the historical scalar loop
+    # for any seed.
     done = 0
     while done < trials:
         batch = min(_BATCH, trials - done)
@@ -86,21 +87,25 @@ def estimate_block_failure_rate(grid: BlockGrid, p: float, trials: int,
                 cmask_lead[i] = rng.random((m, b, b)) < p
                 cmask_ctr[i] = rng.random((m, b, b)) < p
 
-        data = be.from_numpy(stage)
-        lead, ctr = code.encode_batch(data, backend=be)
-        golden = data.copy()
-        data ^= be.from_numpy(flip_mask)
-        lead ^= be.from_numpy(cmask_lead)
-        ctr ^= be.from_numpy(cmask_ctr)
+        words = pack_batch(stage, backend=be)
+        lead, ctr = code.encode_batch_packed(words, backend=be)
+        golden = words.copy()
+        words ^= pack_batch(flip_mask, backend=be)
+        lead ^= pack_batch(cmask_lead, backend=be)
+        ctr ^= pack_batch(cmask_ctr, backend=be)
 
         # Ground-truth upsets per block (data plus its own check-bits).
         per_block = flip_mask.reshape(batch, b, m, b, m).sum(axis=(2, 4)) \
             + cmask_lead.sum(axis=1) + cmask_ctr.sum(axis=1)
 
-        check_all_batched(grid, code, data, lead, ctr, correct=True,
-                          backend=be)
-        restored = be.to_numpy((data == golden).reshape(batch, b, m, b, m)
-                               .all(axis=(2, 4)))
+        check_all_batched_packed(grid, code, words, lead, ctr, batch,
+                                 correct=True, backend=be)
+        # A block is restored iff no data bit differs from golden: OR the
+        # difference words over each m x m block, unpack only that mask.
+        damaged = or_reduce_words(
+            (words ^ golden).reshape(-1, b, m, b, m), axis=(2, 4),
+            backend=be)
+        restored = unpack_batch(damaged, batch, backend=be) == 0
 
         multi = per_block >= 2
         result.blocks_failed += int(multi.sum())

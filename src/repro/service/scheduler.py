@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import repro
 from repro.core.registry import code_names
-from repro.faults.batch import PACKINGS, merge_results, run_shard_task, \
+from repro.faults.batch import merge_results, run_shard_task, \
     run_shard_task_profiled
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
@@ -168,9 +168,9 @@ def service_info() -> dict:
     """Static introspection: what a deployed service can execute.
 
     The payload behind ``repro info`` and the server's ``/info``
-    endpoint — operators use it to see which array backends, tensor
-    layouts, block codes, kernel tiers, job kinds, and queue backends
-    this build serves. ``native_kernels_available`` reports whether the
+    endpoint — operators use it to see which array backends, block
+    codes, kernel tiers, job kinds, and queue backends this build
+    serves. ``native_kernels_available`` reports whether the
     compiled extension actually imported here (registration alone does
     not imply it built), so fleet operators can tell at a glance which
     hosts run the compiled hot loops.
@@ -178,7 +178,6 @@ def service_info() -> dict:
     return {
         "version": repro.__version__,
         "backends": list(available_backends()),
-        "packings": list(PACKINGS),
         "codes": list(code_names()),
         "kernel_tiers": list(available_kernels()),
         "native_kernels_available": native_available(),
@@ -210,11 +209,11 @@ def _run_logic_job(spec_dict: dict) -> dict:
     inputs = len(net.input_names)
     if inputs <= spec.exhaustive_threshold:
         mode, trials = "exhaustive", 1 << inputs
-        message = exhaustive_check(net, bench.golden, packing=spec.packing)
+        message = exhaustive_check(net, bench.golden)
     else:
         mode, trials = "random", spec.trials
         message = random_check(net, bench.golden, trials=spec.trials,
-                               seed=spec.entropy, packing=spec.packing)
+                               seed=spec.entropy)
     return {
         "type": "logic_equivalence_result",
         "circuit": spec.circuit,
@@ -222,7 +221,6 @@ def _run_logic_job(spec_dict: dict) -> dict:
         "mismatch": message,
         "mode": mode,
         "trials": trials,
-        "packing": spec.packing,
     }
 
 
@@ -1088,6 +1086,13 @@ class CampaignService:
         it terminally ``failed`` once the budget is spent — so silent
         corruption degrades into a structured job failure, never a
         dispatcher hang. Returns the number of units re-enqueued.
+
+        ``pending`` was read before the unit list, so a worker that
+        checkpointed and acked in between shows up ``done`` with its
+        span still pending. Each candidate's checkpoint is therefore
+        re-read first: workers write it before they ack, so a readable
+        checkpoint proves the unit is not lost, and the next poll
+        collects it.
         """
         requeued = 0
         reason = "acked checkpoint missing or quarantined in the store"
@@ -1096,6 +1101,8 @@ class CampaignService:
                 continue
             span = _unit_span(unit.unit_id)
             if span is None or span not in pending:
+                continue
+            if self.store.get_shard(job.key, *span) is not None:
                 continue
             self.broker.requeue_unit(unit.unit_id, reason)
             requeued += 1

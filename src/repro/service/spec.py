@@ -25,9 +25,9 @@ Five kinds cover the library's campaign workload families:
 =====================  ==================================================
 
 Every campaign-family spec carries the full engine configuration —
-``packing`` (``"u8"``/``"u64"``), ``backend`` (registered array-backend
-name), ``batch_size``, ``include_check_bits``, ``code`` (registered
-block-code name, :mod:`repro.core.registry`) — with exactly the
+``backend`` (registered array-backend name), ``batch_size``,
+``include_check_bits``, ``code`` (registered block-code name,
+:mod:`repro.core.registry`) — with exactly the
 semantics of the in-process :class:`CampaignRunner` knobs; service
 execution always uses the **per-trial** seeding contract (the only
 relocatable one), so the spec's ``seed`` is the campaign root entropy.
@@ -47,7 +47,6 @@ from repro.core.blocks import BlockGrid
 from repro.core.registry import code_names
 from repro.faults.batch import (
     DEFAULT_BATCH_SIZE,
-    PACKINGS,
     AdaptiveRunResult,
     CampaignRunner,
 )
@@ -218,8 +217,7 @@ class _CampaignFamilySpec(JobSpec):
             self.build_grid(), self.build_injector(), seed=self.entropy,
             include_check_bits=self.include_check_bits,
             batch_size=self.batch_size, workers=workers,
-            seeding="per-trial", backend=self.backend,
-            packing=self.packing, code=self.code)
+            seeding="per-trial", backend=self.backend, code=self.code)
 
     def _validate_engine_fields(self) -> None:
         self.build_grid()
@@ -230,9 +228,6 @@ class _CampaignFamilySpec(JobSpec):
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, "
                              f"got {self.batch_size}")
-        if self.packing not in PACKINGS:
-            raise ValueError(f"packing must be one of {PACKINGS}, "
-                             f"got {self.packing!r}")
         if self.backend not in available_backends():
             raise ValueError(
                 f"backend {self.backend!r} is not registered; "
@@ -262,7 +257,6 @@ class CampaignJobSpec(_CampaignFamilySpec):
     seed: Optional[int] = None
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
-    packing: str = "u8"
     backend: str = "numpy"
     code: str = "diagonal"
 
@@ -292,7 +286,6 @@ class DriftSurvivalJobSpec(_CampaignFamilySpec):
     seed: Optional[int] = None
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
-    packing: str = "u8"
     backend: str = "numpy"
     code: str = "diagonal"
 
@@ -319,7 +312,6 @@ class BurstSurvivalJobSpec(_CampaignFamilySpec):
     orientation: str = "row"
     seed: Optional[int] = None
     batch_size: int = DEFAULT_BATCH_SIZE
-    packing: str = "u8"
     backend: str = "numpy"
     code: str = "diagonal"
 
@@ -363,7 +355,6 @@ class AdaptiveCampaignJobSpec(_CampaignFamilySpec):
     seed: Optional[int] = None
     include_check_bits: bool = True
     batch_size: int = DEFAULT_BATCH_SIZE
-    packing: str = "u8"
     backend: str = "numpy"
     code: str = "diagonal"
 
@@ -396,7 +387,6 @@ class LogicEquivalenceJobSpec(JobSpec):
     circuit: str
     trials: int = 64
     seed: Optional[int] = None
-    packing: str = "u64"
     exhaustive_threshold: int = 10
 
     def validate(self) -> None:
@@ -409,9 +399,6 @@ class LogicEquivalenceJobSpec(JobSpec):
         if self.seed is not None and not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer or None, "
                              f"got {self.seed!r}")
-        if self.packing not in PACKINGS:
-            raise ValueError(f"packing must be one of {PACKINGS}, "
-                             f"got {self.packing!r}")
         if self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be non-negative")
 

@@ -1,11 +1,13 @@
 """Pluggable array-backend layer for the vectorized simulation engine.
 
-Every batched kernel in the library (``DiagonalParityCode.encode_batch``
-/ ``decode_batch``, ``repro.core.checker.check_all_batched``, the
-``inject_batch`` implementations, and the engines built on them) runs its
-tensor arithmetic through an :class:`ArrayBackend` handle instead of a
-hard-wired ``import numpy``. A backend wraps a numpy-like array module
-(duck-typed: anything exposing the array-API-style surface numpy does —
+Every batched kernel in the library (``DiagonalParityCode
+.encode_batch_packed`` / ``decode_batch_packed``,
+``repro.core.checker.check_all_batched_packed``, the
+``inject_batch_planes_packed`` application step, and the engines built
+on them) runs its tensor arithmetic through an :class:`ArrayBackend`
+handle instead of a hard-wired ``import numpy``. A backend wraps a
+numpy-like array module (duck-typed: anything exposing the
+array-API-style surface numpy does —
 ``asarray``/``empty``/``zeros``/``nonzero``/ufuncs/reductions and
 advanced indexing) plus the few operations that are *not* portable
 across such modules (host transfer, scatter-XOR).
@@ -28,11 +30,6 @@ Built-in registry entries:
     The default. Zero-copy host transfer; bit-identical to every scalar
     reference path (the seeding contracts of :mod:`repro.faults.batch`
     are stated for this backend).
-``"cupy"``
-    GPU backend, available only when the optional ``cupy`` package is
-    importable; requesting it without the package raises
-    :class:`BackendUnavailableError` with an install hint. Arrays live on
-    the device; :meth:`ArrayBackend.to_numpy` copies back to host.
 ``"tracing"``
     A numpy-delegating diagnostic backend that records every array-module
     attribute the kernels touch (:attr:`TracingBackend.ops`). Results are
@@ -64,10 +61,6 @@ import numpy as np
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-class BackendUnavailableError(RuntimeError):
-    """A registered backend's underlying array module is not importable."""
-
-
 class ArrayBackend:
     """Handle around a numpy-like array module.
 
@@ -76,13 +69,12 @@ class ArrayBackend:
     name:
         Identifier used in reprs, registry lookups, and shard payloads.
     xp:
-        The array module (``numpy``, ``cupy``, or any duck-typed
-        equivalent). Kernels call ``backend.xp.<op>`` for ordinary array
-        arithmetic.
+        The array module (``numpy`` or any duck-typed equivalent).
+        Kernels call ``backend.xp.<op>`` for ordinary array arithmetic.
     to_numpy / from_numpy:
         Host-transfer hooks. The defaults (``numpy.asarray`` /
-        ``xp.asarray``) are zero-copy for host backends; device backends
-        override them (e.g. ``cupy.asnumpy`` / ``cupy.asarray``).
+        ``xp.asarray``) are zero-copy for host backends; a backend whose
+        arrays live elsewhere overrides them.
     """
 
     def __init__(self, name: str, xp,
@@ -173,7 +165,7 @@ class ArrayBackend:
         """Per-element count of set bits (for packed ``uint64`` words).
 
         Uses the module's native ``bitwise_count`` when present (numpy
-        >= 2.0, cupy) and a SWAR (SIMD-within-a-register) bit-twiddling
+        >= 2.0) and a SWAR (SIMD-within-a-register) bit-twiddling
         fallback otherwise. Returns an ``int64`` array of ``arr.shape``.
         """
         xp = self.xp
@@ -225,22 +217,8 @@ def _make_numpy() -> ArrayBackend:
     return ArrayBackend("numpy", np, to_numpy=np.asarray, from_numpy=None)
 
 
-def _make_cupy() -> ArrayBackend:
-    try:
-        import cupy  # noqa: F401 - optional dependency
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            "the 'cupy' backend requires the optional cupy package "
-            "(pip install cupy-cuda12x or the wheel matching your CUDA "
-            "toolkit); falling back is automatic only when REPRO_BACKEND "
-            "is unset") from exc
-    return ArrayBackend("cupy", cupy, to_numpy=cupy.asnumpy,
-                        from_numpy=cupy.asarray)
-
-
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": _make_numpy,
-    "cupy": _make_cupy,
     "tracing": TracingBackend,
 }
 

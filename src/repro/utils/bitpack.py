@@ -1,12 +1,11 @@
 """Bit-packed (bit-sliced) ``uint64`` kernel layer.
 
 The paper's premise is bulk-bitwise SIMD over crossbar rows; the batched
-simulation engine mirrors that on the host, but its ``(B, n, n)`` uint8
-tensors still spend one full byte per simulated bit. This module packs
-the **batch dimension 64-wide** instead: a stack of ``B`` trials becomes
+simulation engine mirrors that on the host. This module packs the
+**batch dimension 64-wide**: a stack of ``B`` trials becomes
 ``ceil(B / 64)`` ``uint64`` *word* tensors of the same trailing shape,
-so one XOR/AND/OR machine word processes 64 trials at once and the
-memory traffic of every campaign kernel drops 8x versus uint8.
+so one XOR/AND/OR machine word processes 64 trials at once — the only
+tensor layout of the batched campaign engine.
 
 Layout contract
 ===============
@@ -23,13 +22,14 @@ Layout contract
   unpacking — :func:`unpack_batch` takes ``batch`` explicitly.
 * Packing and unpacking are host-side numpy; the packed words cross onto
   an array backend once via :meth:`repro.utils.backend.ArrayBackend
-  .from_numpy`, exactly like the uint8 staging path, so the RNG seeding
-  contracts of :mod:`repro.faults.batch` are layout-invariant.
+  .from_numpy`, after the host-side draws are staged, so the RNG
+  seeding contracts of :mod:`repro.faults.batch` never depend on the
+  layout or the backend.
 
 The word-wise kernels (diagonal XOR parity, saturating bit-counts for
 the packed decoder, word reductions, popcount) all dispatch through the
 backend layer (:mod:`repro.utils.backend`), so the packed path runs on
-any registered array module like the uint8 path does. Orthogonally,
+any registered array module. Orthogonally,
 the host-side hot loops (pack/unpack, the counters, the fused decoder
 sweep) dispatch through the kernel-tier registry
 (:mod:`repro.utils.kernels`): when the optional compiled tier is active
@@ -73,9 +73,9 @@ def _native_applies(kern: KernelTier, be: ArrayBackend, *arrays) -> bool:
 
     Only when the tier is native *and* the backend's array module is
     numpy itself *and* every operand is a real ``numpy.ndarray`` —
-    device backends (cupy) and diagnostic proxies (tracing) must keep
-    the generic backend-dispatched path so their semantics (residency,
-    op accounting) are preserved.
+    other backends (the tracing proxy, custom registered modules) must
+    keep the generic backend-dispatched path so their semantics (op
+    accounting, residency) are preserved.
     """
     return (kern.native and be.xp is np
             and all(isinstance(a, np.ndarray) for a in arrays))
@@ -128,7 +128,7 @@ def saturating_count2(planes, axis: int, backend: BackendLike = None,
     "count >= 2" flag — the carry-save sideways counter. A lane's count
     is 0 iff ``~ones & ~twos``, exactly 1 iff ``ones & ~twos``, and 2+
     iff ``twos``. This is the bit-parallel core of the packed syndrome
-    decoder (the uint8 path's ``sum(axis=1)`` over diagonals).
+    decoder (the scalar decoder's one-count per syndrome plane).
     """
     be = get_backend(backend)
     kern = get_kernels(kernels)

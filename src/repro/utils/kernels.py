@@ -30,7 +30,7 @@ Registered tiers:
     The compiled C extension. Requesting it explicitly (argument or
     ``REPRO_KERNELS=native``) when the extension is not built raises
     :class:`KernelUnavailableError` with a build hint — never a silent
-    fallback, exactly like requesting the cupy backend without cupy.
+    fallback.
 ``"auto"``
     Resolves to ``"native"`` when the extension imported, else
     ``"numpy"``; :func:`get_kernels` returns the *concrete* tier, so
@@ -40,8 +40,9 @@ Kernel tiers operate on **host numpy arrays only** — packing is defined
 as a host-side operation (see the staging contract in
 :mod:`repro.utils.bitpack`), and the dispatch sites only route
 backend-resident tensors through the native tier when the resolved
-backend's module is numpy itself. Device backends (cupy) and diagnostic
-backends (tracing) keep the generic backend-dispatched paths untouched.
+backend's module is numpy itself. Any other backend (the diagnostic
+tracing backend, or a custom registered one) keeps the generic
+backend-dispatched paths untouched.
 
 Like backends, sharded campaigns ship the **resolved tier name** to
 workers (:class:`repro.faults.batch.ShardTask`); a worker asked for

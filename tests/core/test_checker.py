@@ -120,40 +120,50 @@ class TestSweeps:
 
 
 class TestBatchedSweep:
+    @staticmethod
+    def _packed(small_grid, small_code, data):
+        from repro.core.registry import encode_stack
+        from repro.utils.bitpack import pack_batch
+        lead, ctr = encode_stack(small_code, data)
+        return pack_batch(data), pack_batch(lead), pack_batch(ctr)
+
     def test_correct_false_leaves_state_and_reports_zero(self, small_grid,
                                                          small_code, rng):
-        import numpy as np
-        from repro.core.checker import check_all_batched
+        from repro.core.checker import check_all_batched_packed
         from repro.core.code import BATCH_DATA_ERROR
+        from repro.utils.bitpack import pack_batch, unpack_batch
 
         n = small_grid.n
         data = rng.integers(0, 2, (2, n, n)).astype(np.uint8)
-        lead, ctr = small_code.encode_batch(data)
+        _, lead, ctr = self._packed(small_grid, small_code, data)
         corrupted = data.copy()
         corrupted[0, 3, 4] ^= 1
         corrupted[1, 7, 7] ^= 1
-        sweep = check_all_batched(small_grid, small_code, corrupted,
-                                  lead, ctr, correct=False)
+        words = pack_batch(corrupted)
+        sweep = check_all_batched_packed(small_grid, small_code, words,
+                                         lead, ctr, 2, correct=False)
         # read-only sweep: errors located but nothing rewritten
-        assert (sweep.status == BATCH_DATA_ERROR).sum() == 2
-        assert (corrupted != data).sum() == 2
+        assert (sweep.status_codes() == BATCH_DATA_ERROR).sum() == 2
+        assert (unpack_batch(words, 2) != data).sum() == 2
         assert (sweep.data_corrections == 0).all()
         assert (sweep.check_bit_corrections == 0).all()
 
     def test_correct_true_repairs_and_counts(self, small_grid, small_code,
                                              rng):
-        import numpy as np
-        from repro.core.checker import check_all_batched
+        from repro.core.checker import check_all_batched_packed
+        from repro.utils.bitpack import pack_batch, unpack_batch
 
         n = small_grid.n
-        data = rng.integers(0, 2, (2, n, n)).astype(np.uint8)
-        lead, ctr = small_code.encode_batch(data)
-        golden = data.copy()
+        golden = rng.integers(0, 2, (2, n, n)).astype(np.uint8)
+        _, lead, ctr = self._packed(small_grid, small_code, golden)
+        golden_lead = unpack_batch(lead, 2)
+        data = golden.copy()
         data[0, 3, 4] ^= 1
-        lead[1, 2, 0, 0] ^= 1
-        golden_lead = small_code.encode_batch(golden)[0]
-        sweep = check_all_batched(small_grid, small_code, data, lead, ctr)
-        assert (data == golden).all()
-        assert (lead == golden_lead).all()
+        lead[0, 2, 0, 0] ^= np.uint64(1 << 1)  # trial 1's bit
+        words = pack_batch(data)
+        sweep = check_all_batched_packed(small_grid, small_code, words,
+                                         lead, ctr, 2)
+        assert (unpack_batch(words, 2) == golden).all()
+        assert (unpack_batch(lead, 2) == golden_lead).all()
         assert sweep.data_corrections.tolist() == [1, 0]
         assert sweep.check_bit_corrections.tolist() == [0, 1]

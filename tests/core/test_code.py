@@ -151,7 +151,7 @@ class TestDecodeClassification:
 
 
 class TestDecodeBatchEdgeCases:
-    """Edge coverage for the vectorized batch decoder."""
+    """Edge coverage for the packed batch decoder."""
 
     def _code(self, n=9, m=3):
         return DiagonalParityCode(BlockGrid(n, m))
@@ -159,15 +159,17 @@ class TestDecodeBatchEdgeCases:
     def test_all_zero_syndromes(self):
         """A fully clean stack decodes to NO_ERROR in every block."""
         from repro.core.code import BATCH_NO_ERROR
+        from repro.utils.bitpack import pack_batch
         code = self._code()
         b = code.grid.blocks_per_side
-        zeros = np.zeros((70, code.grid.m, b, b), dtype=np.uint8)
-        dec = code.decode_batch(zeros, zeros)
-        assert (dec.status == BATCH_NO_ERROR).all()
+        zeros = pack_batch(np.zeros((70, code.grid.m, b, b), dtype=np.uint8))
+        dec = code.decode_batch_packed(zeros, zeros)
+        assert (dec.status_codes(70) == BATCH_NO_ERROR).all()
 
     def test_multi_diagonal_patterns_are_uncorrectable(self):
         """Any plane with 2+ set diagonals classifies uncorrectable."""
         from repro.core.code import BATCH_UNCORRECTABLE
+        from repro.utils.bitpack import pack_batch
         code = self._code()
         m, b = code.grid.m, code.grid.blocks_per_side
         for lead_bits, ctr_bits in [((0, 1), ()), ((0, 1, 2), (1,)),
@@ -178,24 +180,32 @@ class TestDecodeBatchEdgeCases:
                 lead[:, d, 1, 1] = 1
             for d in ctr_bits:
                 ctr[:, d, 1, 1] = 1
-            dec = code.decode_batch(lead, ctr)
-            assert (dec.status[:, 1, 1] == BATCH_UNCORRECTABLE).all(), \
-                (lead_bits, ctr_bits)
+            dec = code.decode_batch_packed(pack_batch(lead), pack_batch(ctr))
+            assert (dec.status_codes(4)[:, 1, 1]
+                    == BATCH_UNCORRECTABLE).all(), (lead_bits, ctr_bits)
 
     def test_data_error_positions_solve_the_pair(self):
-        """The vectorized position planes agree with solve_position."""
+        """A (leading, counter) syndrome pair corrects solve_position's
+        cell."""
+        from repro.core.checker import check_all_batched_packed
         from repro.core.code import BATCH_DATA_ERROR
         from repro.core.diagonals import solve_position
+        from repro.utils.bitpack import pack_batch, unpack_batch
         code = self._code()
-        m, b = code.grid.m, code.grid.blocks_per_side
+        n, m, b = code.grid.n, code.grid.m, code.grid.blocks_per_side
         for dl in range(m):
             for dc in range(m):
+                # All-zero data has all-zero parity, so the stored bits
+                # below are exactly the syndrome.
+                words = pack_batch(np.zeros((1, n, n), dtype=np.uint8))
                 lead = np.zeros((1, m, b, b), dtype=np.uint8)
                 ctr = np.zeros((1, m, b, b), dtype=np.uint8)
                 lead[0, dl, 0, 0] = 1
                 ctr[0, dc, 0, 0] = 1
-                dec = code.decode_batch(lead, ctr)
-                assert dec.status[0, 0, 0] == BATCH_DATA_ERROR
-                rows, cols = dec.data_error_positions()
-                assert (int(rows[0, 0, 0]), int(cols[0, 0, 0])) == \
-                    solve_position(dl, dc, m)
+                sweep = check_all_batched_packed(
+                    code.grid, code, words, pack_batch(lead),
+                    pack_batch(ctr), 1)
+                assert sweep.status_codes()[0, 0, 0] == BATCH_DATA_ERROR
+                rows, cols = np.nonzero(unpack_batch(words, 1)[0])
+                assert list(zip(rows.tolist(), cols.tolist())) == \
+                    [solve_position(dl, dc, m)]

@@ -16,11 +16,14 @@ from repro.core.registry import (
     CODE_KINDS,
     MatrixBlockCode,
     build_code,
+    check_stack,
     code_names,
+    encode_stack,
     extended_hamming_patterns,
     hsiao_patterns,
     register_code,
 )
+from repro.utils.bitpack import pack_batch, unpack_batch
 
 ALL_CODES = ("diagonal", "rowcol", "hsiao", "hamming_ext")
 MATRIX_CODES = ("hsiao", "hamming_ext")
@@ -211,10 +214,12 @@ class TestBatchedEncode:
         grid = BlockGrid(15, 5)
         code = build_code(name, grid)
         rng = np.random.default_rng(3)
-        data = rng.integers(0, 2, size=(4, 15, 15), dtype=np.uint8)
-        planes = code.encode_batch(data)
+        batch = 70  # straddles the 64-trial word boundary
+        data = rng.integers(0, 2, size=(batch, 15, 15), dtype=np.uint8)
+        planes = [unpack_batch(p, batch)
+                  for p in code.encode_batch_packed(pack_batch(data))]
         assert len(planes) == len(code.plane_names)
-        for t in range(4):
+        for t in range(batch):
             for br in range(grid.blocks_per_side):
                 for bc in range(grid.blocks_per_side):
                     block = data[t, br * 5:(br + 1) * 5,
@@ -222,6 +227,27 @@ class TestBatchedEncode:
                     expected = code.encode_block(block)
                     for p, exp in zip(planes, expected):
                         np.testing.assert_array_equal(p[t, :, br, bc], exp)
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    def test_check_batched_matches_scalar(self, name):
+        """Packed check-and-correct == the per-block scalar decoder."""
+        grid = BlockGrid(15, 5)
+        code = build_code(name, grid)
+        rng = np.random.default_rng(4)
+        batch = 70
+        data = rng.integers(0, 2, size=(batch, 15, 15), dtype=np.uint8)
+        planes = list(encode_stack(code, data))
+        data ^= (rng.random(data.shape) < 0.02).astype(np.uint8)
+        for p in planes:
+            p ^= (rng.random(p.shape) < 0.02).astype(np.uint8)
+        words = pack_batch(data)
+        packed = [pack_batch(p) for p in planes]
+        sweep = code.check_batched_packed(words, packed, batch)
+        status = check_stack(code, data, planes)
+        np.testing.assert_array_equal(sweep.status_codes(), status)
+        np.testing.assert_array_equal(unpack_batch(words, batch), data)
+        for got, want in zip(packed, planes):
+            np.testing.assert_array_equal(unpack_batch(got, batch), want)
 
 
 class TestUpdateCost:

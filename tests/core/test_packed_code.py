@@ -1,24 +1,29 @@
-"""Differential suite: packed uint64 code kernels vs the uint8 path.
+"""Differential suite: packed uint64 code kernels vs the scalar oracle.
 
 The bit-sliced encode/syndrome/decode/check kernels must be bit-for-bit
-identical to the uint8 batched path (and therefore to the scalar
-reference it is already pinned to) — including tail behaviour when the
-batch is not a multiple of 64.
+identical to the scalar per-block code run trial by trial over a uint8
+stack (:func:`repro.core.registry.check_stack`, the "u8" side below) —
+including tail behaviour when the batch is not a multiple of 64.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import BlockGrid
-from repro.core.checker import check_all_batched, check_all_batched_packed
+from repro.core.checker import check_all_batched_packed
 from repro.core.code import (
     BATCH_CTR_CHECK_ERROR,
     BATCH_DATA_ERROR,
     BATCH_LEAD_CHECK_ERROR,
     BATCH_NO_ERROR,
     BATCH_UNCORRECTABLE,
+    CheckBitError,
+    DataError,
     DiagonalParityCode,
+    NoError,
+    Uncorrectable,
 )
+from repro.core.registry import check_stack, encode_stack
 from repro.utils.bitpack import pack_batch, unpack_batch
 
 GEOMETRIES = [(9, 3), (15, 5)]
@@ -31,7 +36,7 @@ def _random_stack(grid, batch, seed=0, flip_probability=0.02):
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(batch, grid.n, grid.n), dtype=np.uint8)
     code = DiagonalParityCode(grid)
-    lead, ctr = code.encode_batch(data)
+    lead, ctr = encode_stack(code, data)
     golden = (data.copy(), lead.copy(), ctr.copy())
     data ^= (rng.random(data.shape) < flip_probability).astype(np.uint8)
     lead ^= (rng.random(lead.shape) < flip_probability).astype(np.uint8)
@@ -47,7 +52,7 @@ class TestEncodePacked:
         code = DiagonalParityCode(grid)
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, size=(batch, n, n), dtype=np.uint8)
-        lead8, ctr8 = code.encode_batch(data)
+        lead8, ctr8 = encode_stack(code, data)
         lead64, ctr64 = code.encode_batch_packed(pack_batch(data))
         assert np.array_equal(unpack_batch(lead64, batch), lead8)
         assert np.array_equal(unpack_batch(ctr64, batch), ctr8)
@@ -64,13 +69,11 @@ class TestSyndromeDecodePacked:
     def test_status_matches_u8_decode(self, n, m, batch):
         grid = BlockGrid(n, m)
         code, data, lead, ctr, _ = _random_stack(grid, batch, seed=batch)
-        syn8 = code.syndrome_batch(data, lead, ctr)
-        dec8 = code.decode_batch(*syn8)
         syn64 = code.syndrome_batch_packed(
             pack_batch(data), pack_batch(lead), pack_batch(ctr))
         dec64 = code.decode_batch_packed(*syn64)
-        assert np.array_equal(dec64.status_codes(batch),
-                              np.asarray(dec8.status))
+        status8 = check_stack(code, data, (lead, ctr), correct=False)
+        assert np.array_equal(dec64.status_codes(batch), status8)
 
     def test_all_zero_syndromes(self):
         """A clean stack decodes to NO_ERROR everywhere (edge case)."""
@@ -78,20 +81,24 @@ class TestSyndromeDecodePacked:
         code = DiagonalParityCode(grid)
         rng = np.random.default_rng(5)
         data = rng.integers(0, 2, size=(70, 9, 9), dtype=np.uint8)
-        lead, ctr = code.encode_batch(data)
+        lead, ctr = encode_stack(code, data)
         syn = code.syndrome_batch_packed(
             pack_batch(data), pack_batch(lead), pack_batch(ctr))
         dec = code.decode_batch_packed(*syn)
         assert (dec.status_codes(70) == BATCH_NO_ERROR).all()
-        # u8 reference agrees.
-        dec8 = code.decode_batch(*code.syndrome_batch(data, lead, ctr))
-        assert (np.asarray(dec8.status) == BATCH_NO_ERROR).all()
+        # The scalar reference agrees.
+        assert (check_stack(code, data, (lead, ctr)) == BATCH_NO_ERROR).all()
 
     def test_multi_diagonal_uncorrectable_patterns(self):
         """2+ set diagonals in a plane classify uncorrectable (edge case)."""
         grid = BlockGrid(9, 3)
         code = DiagonalParityCode(grid)
         b = grid.blocks_per_side
+        scalar_kind = {BATCH_UNCORRECTABLE: Uncorrectable,
+                       BATCH_DATA_ERROR: DataError,
+                       BATCH_LEAD_CHECK_ERROR: CheckBitError,
+                       BATCH_CTR_CHECK_ERROR: CheckBitError,
+                       BATCH_NO_ERROR: NoError}
         for lead_bits, ctr_bits, expected in [
             ((0, 1), (), BATCH_UNCORRECTABLE),      # two leading, no counter
             ((0, 1, 2), (1,), BATCH_UNCORRECTABLE),  # three leading
@@ -115,21 +122,22 @@ class TestSyndromeDecodePacked:
             assert (status[:, 0, 0] == expected).all(), (lead_bits, ctr_bits)
             # Untouched blocks stay NO_ERROR.
             assert (status[:, 1:, :] == BATCH_NO_ERROR).all()
-            # Agrees with the u8 decoder on the same syndromes.
-            dec8 = code.decode_batch(syn_lead, syn_ctr)
-            assert np.array_equal(status, np.asarray(dec8.status))
+            # Agrees with the scalar decoder on the same syndromes.
+            outcome = code.decode(syn_lead[0, :, 0, 0], syn_ctr[0, :, 0, 0])
+            assert isinstance(outcome, scalar_kind[expected])
 
 
 class TestCheckAllPacked:
     @pytest.mark.parametrize("n,m", GEOMETRIES)
     @pytest.mark.parametrize("batch", BATCHES)
     def test_corrections_match_u8_path(self, n, m, batch):
-        """Packed correction writes the exact same cells as the u8 sweep."""
+        """Packed correction writes the exact same cells as the scalar
+        per-block sweep over the uint8 stack."""
         grid = BlockGrid(n, m)
         code, data, lead, ctr, _ = _random_stack(grid, batch,
                                                  seed=1000 + batch)
         d8, l8, c8 = data.copy(), lead.copy(), ctr.copy()
-        sweep8 = check_all_batched(grid, code, d8, l8, c8, correct=True)
+        status8 = check_stack(code, d8, (l8, c8), correct=True)
 
         dw = pack_batch(data)
         lw = pack_batch(lead)
@@ -139,15 +147,18 @@ class TestCheckAllPacked:
         assert np.array_equal(unpack_batch(dw, batch), d8)
         assert np.array_equal(unpack_batch(lw, batch), l8)
         assert np.array_equal(unpack_batch(cw, batch), c8)
-        assert np.array_equal(sweep64.status_codes(),
-                              np.asarray(sweep8.status))
+        assert np.array_equal(sweep64.status_codes(), status8)
         assert np.array_equal(sweep64.uncorrectable_any,
-                              np.asarray(sweep8.uncorrectable_any))
-        assert np.array_equal(sweep64.clean, np.asarray(sweep8.clean))
+                              (status8 == BATCH_UNCORRECTABLE).any(
+                                  axis=(1, 2)))
+        assert np.array_equal(sweep64.clean,
+                              (status8 == BATCH_NO_ERROR).all(axis=(1, 2)))
         assert np.array_equal(sweep64.data_corrections,
-                              np.asarray(sweep8.data_corrections))
-        assert np.array_equal(sweep64.check_bit_corrections,
-                              np.asarray(sweep8.check_bit_corrections))
+                              (status8 == BATCH_DATA_ERROR).sum(axis=(1, 2)))
+        assert np.array_equal(
+            sweep64.check_bit_corrections,
+            ((status8 == BATCH_LEAD_CHECK_ERROR)
+             | (status8 == BATCH_CTR_CHECK_ERROR)).sum(axis=(1, 2)))
 
     def test_tail_words_never_written(self):
         """Padding lanes of the last word stay zero through correction."""

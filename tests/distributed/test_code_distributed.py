@@ -2,8 +2,8 @@
 
 A code travels as a plain string inside the shard-task wire envelope;
 these tests pin the round trip (broker -> worker -> checkpoint), the
-wire-version bump that carries it, and the refusal of version-1
-envelopes that predate the field.
+wire-version bumps that carried it (and later dropped ``packing``),
+and the refusal of older envelopes.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.distributed.worker import BrokerWorkSource, ShardWorker
 from repro.faults.batch import CampaignRunner, merge_results, run_reference
 from repro.faults.injector import UniformInjector
 from repro.service.store import ResultStore
-from repro.utils.canonical import canonical_json
+from repro.utils.canonical import canonical_json, content_hash
 
 
 @pytest.fixture
@@ -51,10 +51,10 @@ def publish_span(broker, key, lo, hi, code, seed=3):
 
 
 class TestWireVersion:
-    def test_version_is_four(self):
-        """Version 4 put the unit dispatch envelope (optional trace
-        block) on the versioned surface; bump again if it changes."""
-        assert WIRE_VERSION == 4
+    def test_version_is_five(self):
+        """Version 5 dropped the ``packing`` field (the packed layout is
+        the only batched engine); bump again if the schema changes."""
+        assert WIRE_VERSION == 5
 
     def test_envelope_carries_code(self):
         task = runner("hsiao").shard_task(0, 32)
@@ -84,6 +84,26 @@ class TestWireVersion:
         unit = broker.unit("stale:0-16")
         assert unit.state == "failed"
         assert "version" in unit.error
+
+    def test_version_four_unit_is_poison(self, broker, store, source):
+        """A v4 unit (its task carried ``packing``) fails terminally on
+        the worker: refused on its version, never requeued or run."""
+        task = runner("rowcol").shard_task(0, 16)
+        body = task.to_dict()
+        body["packing"] = "u64"
+        env = {"format": "repro/shard-task", "version": 4, "task": body,
+               "digest": content_hash({"format": "repro/shard-task",
+                                       "version": 4, "task": body})}
+        payload = canonical_json({"job_key": "v4", "lo": 0, "hi": 16,
+                                  "shard_task": env})
+        broker.publish("v4:0-16", payload, group_key="v4")
+        worker = ShardWorker(source, worker_id="w0", lease_ttl_s=30)
+        assert worker.run_once()
+        assert worker.units_failed == 1
+        unit = broker.unit("v4:0-16")
+        assert unit.state == "failed"
+        assert "wire version 4" in unit.error
+        assert store.get_shard("v4", 0, 16) is None
 
 
 class TestDistributedExecution:

@@ -34,7 +34,7 @@ UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 
 def spec_for(seed=41, trials=96):
     return CampaignJobSpec(n=15, m=3, trials=trials, seed=seed,
-                           injector=UNIFORM, packing="u8")
+                           injector=UNIFORM)
 
 
 class Fleet:

@@ -19,7 +19,8 @@ from repro.distributed.wire import (
     task_from_wire_dict,
     task_wire_dict,
 )
-from repro.faults.batch import ShardTask, run_shard_task
+from repro.core.blocks import BlockGrid
+from repro.faults.batch import ShardTask, run_reference, run_shard_task
 from repro.faults.drift import DriftInjector, DriftModel
 from repro.faults.injector import (
     BurstInjector,
@@ -29,6 +30,7 @@ from repro.faults.injector import (
     UniformInjector,
 )
 from repro.faults.serialize import build_injector, injector_kinds
+from repro.utils.canonical import content_hash
 
 INJECTORS = {
     "uniform": UniformInjector(2e-3, include_check_bits=False),
@@ -43,7 +45,7 @@ INJECTORS = {
 
 def make_task(injector, **overrides) -> ShardTask:
     fields = dict(n=15, m=3, injector=injector, entropy=11, lo=32, hi=96,
-                  batch_size=64, packing="u8")
+                  batch_size=64)
     fields.update(overrides)
     return ShardTask(**fields)
 
@@ -87,11 +89,36 @@ class TestRoundTrip:
         assert encode_task(a) == encode_task(b)
 
     def test_packed_layout_survives(self):
-        task = make_task(INJECTORS["uniform"], packing="u64")
-        assert decode_task(encode_task(task)).packing == "u64"
+        """A decoded task runs the packed engine to the scalar replay's
+        tallies, ragged last word included (70 trials)."""
+        injector = INJECTORS["burst"]
+        task = make_task(injector, lo=0, hi=70)
+        rebuilt = decode_task(encode_task(task))
+        assert "packing" not in task_wire_dict(rebuilt)["task"]
+        assert run_shard_task(rebuilt).as_dict() == run_reference(
+            BlockGrid(15, 3), injector, entropy=11, trials=70).as_dict()
 
 
 class TestRefusals:
+    def test_version_four_envelope_refused(self):
+        """A well-formed v4 envelope (it carried ``packing``) is refused
+        on its version, before the body is read."""
+        body = make_task(INJECTORS["uniform"]).to_dict()
+        body["packing"] = "u64"
+        env = {"format": "repro/shard-task", "version": 4, "task": body,
+               "digest": content_hash({"format": "repro/shard-task",
+                                       "version": 4, "task": body})}
+        with pytest.raises(WireFormatError, match="wire version 4"):
+            task_from_wire_dict(env)
+        # Restamping it as the current version still cannot smuggle the
+        # dropped field through.
+        env["version"] = WIRE_VERSION
+        env["digest"] = content_hash({"format": "repro/shard-task",
+                                      "version": WIRE_VERSION,
+                                      "task": body})
+        with pytest.raises(WireFormatError, match="packing"):
+            task_from_wire_dict(env)
+
     def test_version_mismatch(self):
         env = task_wire_dict(make_task(INJECTORS["uniform"]))
         env["version"] = WIRE_VERSION + 1

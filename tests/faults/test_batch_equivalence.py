@@ -145,9 +145,9 @@ class TestPerTrialSeeding:
 
 
 class TestInjectorGroundTruth:
-    """Event-level equivalence: ``inject_batch`` ground truth, viewed per
-    trial through ``result_of``, must equal ``B`` scalar ``inject`` calls
-    on the same stream — flip for flip, in order."""
+    """Event-level equivalence: ``inject_batch_packed`` ground truth,
+    viewed per trial through ``result_of``, must equal ``B`` scalar
+    ``inject`` calls on the same stream — flip for flip, in order."""
 
     @pytest.mark.parametrize("make_injector", [
         lambda: UniformInjector(0.03, seed=13),
@@ -171,10 +171,10 @@ class TestInjectorGroundTruth:
             scalar_results.append(scalar_injector.inject(mem, store))
 
         batch_injector = make_injector()
-        data = np.zeros((trials, n, n), dtype=np.uint8)
-        lead = np.zeros((trials, m, b, b), dtype=np.uint8)
-        ctr = np.zeros((trials, m, b, b), dtype=np.uint8)
-        batched = batch_injector.inject_batch(data, lead, ctr)
+        data = np.zeros((1, n, n), dtype=np.uint64)
+        lead = np.zeros((1, m, b, b), dtype=np.uint64)
+        ctr = np.zeros((1, m, b, b), dtype=np.uint64)
+        batched = batch_injector.inject_batch_packed(trials, data, lead, ctr)
 
         for i, expected in enumerate(scalar_results):
             got = batched.result_of(i)

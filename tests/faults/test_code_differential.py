@@ -1,8 +1,11 @@
-"""Differential suite: every registered code, packed == u8 == scalar.
+"""Differential suite: every registered code, packed == scalar.
 
-The CI tier-1 matrix runs this file (plus the registry unit tests)
-under ``REPRO_BACKEND=tracing`` as well, so the batched kernels of all
-codes stay exercised through the backend-abstraction layer.
+The batched engine packs 64 trials per uint64 word; the reference is
+the per-trial scalar replay :func:`run_reference` (test names call it
+``u8``: it holds each trial as a uint8 crossbar). The CI tier-1 matrix
+runs this file (plus the registry unit tests) under
+``REPRO_BACKEND=tracing`` as well, so the batched kernels of all codes
+stay exercised through the backend-abstraction layer.
 """
 
 import pytest
@@ -14,7 +17,12 @@ from repro.faults.batch import (
     run_reference,
     run_shard_task,
 )
-from repro.faults.injector import BurstInjector, UniformInjector
+from repro.faults.drift import DriftInjector, DriftModel
+from repro.faults.injector import (
+    BurstInjector,
+    LinearBurstInjector,
+    UniformInjector,
+)
 
 NON_DIAGONAL = ("rowcol", "hsiao", "hamming_ext")
 ALL_CODES = ("diagonal",) + NON_DIAGONAL
@@ -30,6 +38,8 @@ class TestScalarVsBatched:
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     @pytest.mark.parametrize("include_check_bits", [True, False])
     def test_u8_matches_scalar_reference(self, code, include_check_bits):
+        """The batched engine equals the scalar replay, both check-bit
+        modes."""
         grid = BlockGrid(15, 5)
         injector = UniformInjector(0.02)
         expected = run_reference(grid, injector, entropy=1234, trials=96,
@@ -41,15 +51,17 @@ class TestScalarVsBatched:
 
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     def test_packed_matches_u8(self, code):
-        u8 = _runner(code).run(96)
-        packed = _runner(code, packing="u64").run(96)
+        runner = _runner(code)
+        u8 = runner.run_reference(96)
+        packed = runner.run(96)
         assert packed.as_dict() == u8.as_dict()
 
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     def test_packed_non_multiple_of_64_trials(self, code):
         """Tail-lane masking: 70 trials needs a partial second word."""
-        u8 = _runner(code).run(70)
-        packed = _runner(code, packing="u64").run(70)
+        runner = _runner(code, batch_size=70)
+        u8 = runner.run_reference(70)
+        packed = runner.run(70)
         assert packed.as_dict() == u8.as_dict()
 
     @pytest.mark.parametrize("code", NON_DIAGONAL)
@@ -80,6 +92,25 @@ class TestScalarVsBatched:
             got = CampaignRunner(grid, injector, seed=5,
                                  seeding="per-trial", code=code).run(48)
             assert got.as_dict() == expected.as_dict(), code
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    @pytest.mark.parametrize("make_injector", [
+        pytest.param(lambda: LinearBurstInjector(3, orientation="col"),
+                     id="linear-burst"),
+        pytest.param(lambda: DriftInjector(
+            DriftModel(tau_hours=2e5, beta=2.0, abrupt_fit_per_bit=1e4),
+            24.0, 6.0), id="drift"),
+    ])
+    def test_injector_family_cross_code(self, code, make_injector):
+        """Linear-burst and drift draws decode identically on every code,
+        with a ragged last word (70 trials, batch 33)."""
+        grid = BlockGrid(15, 5)
+        expected = run_reference(grid, make_injector(), entropy=11,
+                                 trials=70, code=code)
+        got = CampaignRunner(grid, make_injector(), seed=11,
+                             seeding="per-trial", batch_size=33,
+                             code=code).run(70)
+        assert got.as_dict() == expected.as_dict()
 
 
 class TestDiagonalUnchanged:

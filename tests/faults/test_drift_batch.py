@@ -130,10 +130,10 @@ class TestDriftInjectorGroundTruth:
             scalar_results.append(scalar.inject(mem, store))
 
         batched = _injector(include_check_bits=include_check_bits)
-        data = np.zeros((trials, n, n), dtype=np.uint8)
-        lead = np.zeros((trials, m, b, b), dtype=np.uint8)
-        ctr = np.zeros((trials, m, b, b), dtype=np.uint8)
-        got = batched.inject_batch(data, lead, ctr)
+        data = np.zeros((1, n, n), dtype=np.uint64)
+        lead = np.zeros((1, m, b, b), dtype=np.uint64)
+        ctr = np.zeros((1, m, b, b), dtype=np.uint64)
+        got = batched.inject_batch_packed(trials, data, lead, ctr)
 
         for i, expected in enumerate(scalar_results):
             view = got.result_of(i)

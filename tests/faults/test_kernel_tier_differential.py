@@ -30,11 +30,10 @@ needs_native = pytest.mark.skipif(
     reason="compiled repro._native._kernels extension not built")
 
 
-def _runner(code, kernels, packing="u64", seed=4321, **kwargs):
+def _runner(code, kernels, seed=4321, **kwargs):
     kwargs.setdefault("seeding", "per-trial")
     return CampaignRunner(BlockGrid(15, 5), UniformInjector(0.02),
-                          seed=seed, code=code, packing=packing,
-                          kernels=kernels, **kwargs)
+                          seed=seed, code=code, kernels=kernels, **kwargs)
 
 
 @needs_native
@@ -52,12 +51,12 @@ class TestNativeTallies:
         got = _runner(code, kernels="native").run(70)
         assert got.as_dict() == ref.as_dict()
 
-    def test_native_u8_path_matches_scalar_reference(self):
-        """The tier must stay invisible on the unpacked layout too."""
+    def test_native_matches_scalar_reference(self):
+        """The tier is invisible against the scalar oracle too."""
         grid = BlockGrid(15, 5)
         injector = UniformInjector(0.02)
         expected = run_reference(grid, injector, entropy=4321, trials=96)
-        got = _runner("diagonal", kernels="native", packing="u8").run(96)
+        got = _runner("diagonal", kernels="native").run(96)
         assert got.as_dict() == expected.as_dict()
 
     def test_sequential_engine_matches(self):
@@ -70,8 +69,7 @@ class TestNativeTallies:
         def tallies(tier):
             engine = BatchCampaign(BlockGrid(15, 3),
                                    UniformInjector(0.02, seed=7),
-                                   seed=9, packing="u64",
-                                   kernels=get_kernels(tier))
+                                   seed=9, kernels=get_kernels(tier))
             return engine.run(128).as_dict()
 
         assert tallies("native") == tallies("numpy")

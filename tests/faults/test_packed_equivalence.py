@@ -1,16 +1,18 @@
-"""Differential harness: packed (u64) campaign engine vs u8 vs scalar.
+"""Differential harness: the packed (u64) campaign engine vs the scalar.
 
-The packing switch may never change a tally: with identical seeds a
-``packing="u64"`` run must be bit-for-bit identical to the u8 batched
-run — which the existing harness already pins to the scalar reference —
-under both seeding contracts, for the whole injector family, and for
-batch sizes that leave a ``B % 64`` tail.
+The batched engine packs 64 trials per uint64 word; with identical
+seeds it must be bit-for-bit identical to the scalar reference under
+both seeding contracts, for the whole injector family, and for batch
+sizes that leave a ``B % 64`` tail. Test names say ``u8`` for the
+reference side: the scalar engine, which holds each trial as a uint8
+crossbar and check store.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import BlockGrid
+from repro.core.checkstore import CheckStore
 from repro.faults import (
     BatchCampaign,
     BurstInjector,
@@ -24,6 +26,7 @@ from repro.faults import (
     UniformInjector,
     merge_results,
 )
+from repro.xbar.crossbar import CrossbarArray
 
 #: Hot drift model: plenty of flips, so corrections actually happen.
 DRIFT_MODEL = DriftModel(tau_hours=2e5, beta=2.0, abrupt_fit_per_bit=1e4)
@@ -45,13 +48,12 @@ INJECTOR_FAMILY = [
 
 def _pair(injector_factory, grid, trials, batch_size, seed=42,
           include_check_bits=True):
-    """(u8, u64) tallies for identically-seeded batched campaigns."""
-    u8 = BatchCampaign(grid, injector_factory(), seed=seed,
-                       include_check_bits=include_check_bits,
-                       batch_size=batch_size, packing="u8").run(trials)
+    """(scalar, packed) tallies for identically-seeded campaigns."""
+    u8 = FaultCampaign(grid, injector_factory(), seed=seed,
+                       include_check_bits=include_check_bits).run(trials)
     u64 = BatchCampaign(grid, injector_factory(), seed=seed,
                         include_check_bits=include_check_bits,
-                        batch_size=batch_size, packing="u64").run(trials)
+                        batch_size=batch_size).run(trials)
     return u8.as_dict(), u64.as_dict()
 
 
@@ -79,20 +81,17 @@ class TestSequentialPackingEquivalence:
     def test_batch_size_never_changes_packed_tallies(self, small_grid,
                                                      batch_size):
         reference = BatchCampaign(small_grid, UniformInjector(0.02, seed=1),
-                                  seed=2, batch_size=5,
-                                  packing="u64").run(30).as_dict()
+                                  seed=2, batch_size=5).run(30).as_dict()
         other = BatchCampaign(small_grid, UniformInjector(0.02, seed=1),
-                              seed=2, batch_size=batch_size,
-                              packing="u64").run(30).as_dict()
+                              seed=2, batch_size=batch_size).run(30).as_dict()
         assert reference == other
 
     def test_packed_matches_scalar_reference(self, small_grid):
-        """Transitively: u64 == u8 == FaultCampaign, asserted directly."""
+        """Packed == FaultCampaign with chunks that split the 64-bit word."""
         scalar = FaultCampaign(small_grid, UniformInjector(0.05, seed=9),
                                seed=5).run(40).as_dict()
         packed = BatchCampaign(small_grid, UniformInjector(0.05, seed=9),
-                               seed=5, batch_size=13,
-                               packing="u64").run(40).as_dict()
+                               seed=5, batch_size=13).run(40).as_dict()
         assert scalar == packed
 
     def test_exclude_check_bits(self, small_grid):
@@ -111,8 +110,7 @@ class TestSequentialPackingEquivalence:
 class TestPerTrialPackingEquivalence:
     def test_matches_scalar_replay(self, small_grid):
         runner = CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
-                                seed=123, seeding="per-trial", batch_size=7,
-                                packing="u64")
+                                seed=123, seeding="per-trial", batch_size=7)
         assert runner.run(30).as_dict() == runner.run_reference(30).as_dict()
 
     @pytest.mark.parametrize("splits", [[(0, 70)], [(0, 13), (13, 70)],
@@ -120,27 +118,31 @@ class TestPerTrialPackingEquivalence:
     def test_shard_layout_invariant(self, small_grid, splits):
         def engine():
             return BatchCampaign(small_grid, UniformInjector(0.03, seed=0),
-                                 batch_size=4, packing="u64")
+                                 batch_size=4)
         whole = engine().run_range_seeded(entropy=99, lo=0, hi=70)
         sharded = merge_results([engine().run_range_seeded(99, lo, hi)
                                  for lo, hi in splits])
         assert whole.as_dict() == sharded.as_dict()
 
     def test_packing_invariant_per_trial(self, small_grid):
-        """Same entropy, different layouts: identical tallies."""
+        """Same entropy, trials packed into words differently: identical
+        tallies, equal to the scalar replay."""
         tallies = [
             CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
-                           seed=55, seeding="per-trial", batch_size=6,
-                           packing=packing).run(24).as_dict()
-            for packing in ("u8", "u64")]
-        assert tallies[0] == tallies[1]
+                           seed=55, seeding="per-trial",
+                           batch_size=batch_size).run(70).as_dict()
+            for batch_size in (6, 64, 70)]
+        reference = CampaignRunner(
+            small_grid, UniformInjector(0.02, seed=0), seed=55,
+            seeding="per-trial").run_reference(70).as_dict()
+        assert tallies == [reference] * 3
 
     def test_worker_count_invariant(self, small_grid):
         results = [
             CampaignRunner(small_grid, UniformInjector(0.02, seed=0),
                            seed=55, seeding="per-trial", workers=w,
-                           batch_size=6, packing="u64").run(24).as_dict()
-            for w in (1, 2)]  # workers=2 ships packing through the pool
+                           batch_size=6).run(24).as_dict()
+            for w in (1, 2)]  # workers=2 ships the task through the pool
         assert results[0] == results[1]
 
 
@@ -150,44 +152,49 @@ class TestPackedSimulators:
         kwargs = dict(model=DRIFT_MODEL, window_hours=24.0,
                       refresh_period_hours=6.0, trials=20, seed=3,
                       batch_size=7)
-        u8 = simulate_drift_survival(small_grid, packing="u8", **kwargs)
-        u64 = simulate_drift_survival(small_grid, packing="u64", **kwargs)
+        u8 = simulate_drift_survival(small_grid, engine="scalar", **kwargs)
+        u64 = simulate_drift_survival(small_grid, **kwargs)
         assert u8.as_dict() == u64.as_dict()
 
     def test_burst_survival_packed(self, small_grid):
         from repro.reliability.burst import simulate_burst_survival
-        u8 = simulate_burst_survival(small_grid, 2, 40, seed=4, packing="u8")
-        u64 = simulate_burst_survival(small_grid, 2, 40, seed=4,
-                                      packing="u64")
+        u8 = simulate_burst_survival(small_grid, 2, 40, seed=4,
+                                     engine="scalar")
+        u64 = simulate_burst_survival(small_grid, 2, 40, seed=4)
         assert u8 == u64
 
     def test_adaptive_packed_matches_u8(self, small_grid):
-        def run(packing):
+        def run(engine):
             return CampaignRunner(
                 small_grid, UniformInjector(0.05, seed=1), seed=7,
-                batch_size=16, packing=packing).run_adaptive(
+                batch_size=16, engine=engine).run_adaptive(
                     tolerance=0.2, initial_trials=32,
                     max_trials=128).result.as_dict()
-        assert run("u8") == run("u64")
+        assert run("scalar") == run("batched")
 
 
 class TestPackingValidation:
+    """The packed layout is the only one: no ``packing`` option exists."""
+
     def test_bad_packing_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            BatchCampaign(small_grid, UniformInjector(0.01), packing="u32")
-        with pytest.raises(ValueError):
-            CampaignRunner(small_grid, UniformInjector(0.01), packing="u32")
+        for packing in ("u8", "u64", "u32"):
+            with pytest.raises(TypeError):
+                BatchCampaign(small_grid, UniformInjector(0.01),
+                              packing=packing)
+            with pytest.raises(TypeError):
+                CampaignRunner(small_grid, UniformInjector(0.01),
+                               packing=packing)
 
     def test_scalar_engine_rejects_packed(self, small_grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CampaignRunner(small_grid, UniformInjector(0.01),
                            engine="scalar", packing="u64")
 
 
 class TestPackedInjectorGroundTruth:
     """inject_batch_packed must produce the same event stream and the
-    same tensor effect as inject_batch — word layout only changes how
-    the flips land, never what they are."""
+    same tensor effect as one scalar inject() per trial — word layout
+    only changes how the flips land, never what they are."""
 
     @pytest.mark.parametrize("make_injector", INJECTOR_FAMILY)
     def test_events_and_tensors_match(self, small_grid, make_injector):
@@ -200,7 +207,13 @@ class TestPackedInjectorGroundTruth:
         data8 = np.zeros((trials, n, n), dtype=np.uint8)
         lead8 = np.zeros((trials, m, b, b), dtype=np.uint8)
         ctr8 = np.zeros((trials, m, b, b), dtype=np.uint8)
-        res8 = inj8.inject_batch(data8, lead8, ctr8)
+        res8 = []
+        for i in range(trials):
+            mem = CrossbarArray(n, n)
+            store = CheckStore(small_grid)
+            res8.append(inj8.inject(mem, store))
+            data8[i], lead8[i], ctr8[i] = mem.snapshot(), store.lead, \
+                store.ctr
 
         inj64 = make_injector()
         nwords = bitpack.words_for(trials)
@@ -210,7 +223,7 @@ class TestPackedInjectorGroundTruth:
         res64 = inj64.inject_batch_packed(trials, data64, lead64, ctr64)
 
         for i in range(trials):
-            a, c = res8.result_of(i), res64.result_of(i)
+            a, c = res8[i], res64.result_of(i)
             assert a.data_flips == c.data_flips
             assert a.check_flips == c.check_flips
         assert np.array_equal(bitpack.unpack_batch(data64, trials), data8)

@@ -7,7 +7,7 @@ from repro.circuits.registry import BENCHMARKS, build
 from repro.errors import NetlistError
 from repro.logic.eval import evaluate, evaluate_packed, evaluate_vectors_packed
 from repro.logic.netlist import LogicNetwork
-from repro.logic.verify import exhaustive_check, random_check
+from repro.logic.verify import exhaustive_check, random_check, random_vectors
 from repro.utils.bitops import pack_words, unpack_words, words_for
 from repro.utils.rng import make_rng
 
@@ -118,17 +118,23 @@ class TestEvaluatePacked:
 
 class TestVerifyRouting:
     def test_random_check_packings_agree(self):
+        """The bit-sliced verifier agrees with the boolean reference
+        evaluator on the vectors random_check draws."""
         spec = BENCHMARKS["int2float"]
         net = build("int2float")
-        u8 = random_check(net, spec.golden, trials=96, seed=5, packing="u8")
-        u64 = random_check(net, spec.golden, trials=96, seed=5,
-                           packing="u64")
-        assert u8 is None and u64 is None
+        assert random_check(net, spec.golden, trials=96, seed=5) is None
+        vectors = random_vectors(net.input_names, 96, seed=5)
+        reference = evaluate(net, vectors)
+        packed = evaluate_vectors_packed(net, vectors)
+        assert set(packed) == set(reference)
+        for name, bits in reference.items():
+            assert np.array_equal(np.asarray(packed[name], dtype=bool),
+                                  np.asarray(bits, dtype=bool)), name
 
     def test_exhaustive_check_packed(self):
         spec = BENCHMARKS["ctrl"]
         net = build("ctrl")
-        assert exhaustive_check(net, spec.golden, packing="u64") is None
+        assert exhaustive_check(net, spec.golden) is None
 
     def test_packed_check_catches_mismatch(self):
         """The packed path must still *fail* on a wrong golden model."""
@@ -137,10 +143,11 @@ class TestVerifyRouting:
         def wrong_golden(bits):
             return {"and": 1 - (bits["a"] & bits["b"])}
 
-        message = random_check(net, wrong_golden, trials=64, seed=1,
-                               packing="u64")
+        message = random_check(net, wrong_golden, trials=64, seed=1)
         assert message is not None and "mismatch" in message
 
     def test_bad_packing_rejected(self):
-        with pytest.raises(ValueError):
-            random_check(_ops_net(), lambda bits: {}, packing="u16")
+        """There is no layout option: any ``packing`` is refused."""
+        for value in ("u8", "u64", "u16"):
+            with pytest.raises(TypeError):
+                random_check(_ops_net(), lambda bits: {}, packing=value)

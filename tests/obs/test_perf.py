@@ -31,7 +31,7 @@ UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 
 def spec_for(seed=11, trials=64):
     return CampaignJobSpec(n=15, m=3, trials=trials, seed=seed,
-                           injector=UNIFORM, packing="u8")
+                           injector=UNIFORM)
 
 
 def run_local(tmp_path, spec, submits=1):

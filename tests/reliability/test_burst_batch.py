@@ -37,8 +37,8 @@ class TestLinearBurstInjector:
             scalar_results.append(scalar.inject(mem))
 
         batched = LinearBurstInjector(3, orientation, seed=21)
-        data = np.zeros((trials, n, n), dtype=np.uint8)
-        got = batched.inject_batch(data)
+        data = np.zeros((1, n, n), dtype=np.uint64)
+        got = batched.inject_batch_packed(trials, data)
 
         for i, expected in enumerate(scalar_results):
             assert got.result_of(i).data_flips == expected.data_flips

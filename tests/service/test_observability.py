@@ -31,7 +31,7 @@ UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 
 def spec_for(seed=11, trials=64):
     return CampaignJobSpec(n=15, m=3, trials=trials, seed=seed,
-                           injector=UNIFORM, packing="u8")
+                           injector=UNIFORM)
 
 
 def run_local(tmp_path, spec, submits=1):
@@ -69,9 +69,9 @@ class TestLocalTrace:
     def test_phases_merged_onto_job_record(self, tmp_path):
         (job,) = run_local(tmp_path, spec_for())
         assert isinstance(job.phases, dict)
-        # the packed engine reports every profiled phase it ran; the
-        # u8 path packs, encodes, injects, sweeps, and tallies
-        for phase in ("encode", "inject", "decode_sweep", "tally"):
+        # the packed engine reports every profiled phase it ran: it
+        # fills, packs, encodes, injects, sweeps, and tallies
+        for phase in PROFILE_PHASES:
             assert phase in job.phases, job.phases
             assert job.phases[phase] > 0
         assert set(job.phases) <= set(PROFILE_PHASES)

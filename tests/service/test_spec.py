@@ -114,6 +114,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="does not accept"):
             JobSpec.from_dict(data)
 
+    @pytest.mark.parametrize("spec", [
+        _campaign(),
+        DriftSurvivalJobSpec(n=9, m=3, trials=4, seed=1),
+        BurstSurvivalJobSpec(n=9, m=3, length=2, trials=4, seed=1),
+        AdaptiveCampaignJobSpec(
+            n=9, m=3, tolerance=0.1, seed=1,
+            injector=InjectorSpec("uniform", {"probability": 0.01})),
+        LogicEquivalenceJobSpec(circuit="ctrl", seed=0),
+    ], ids=lambda spec: spec.kind)
+    def test_from_dict_rejects_packing_field(self, spec):
+        """The packed layout is the only engine: no kind takes a
+        ``packing`` field, whatever its value."""
+        for value in ("u8", "u64"):
+            data = spec.to_dict()
+            data["packing"] = value
+            with pytest.raises(ValueError, match="does not accept.*packing"):
+                JobSpec.from_dict(data)
+
 
 class TestNormalization:
     def test_integer_seed_passes_through(self):
@@ -135,12 +153,12 @@ class TestNormalization:
         assert _campaign().cache_key() == _campaign().cache_key()
         assert _campaign().cache_key() != _campaign(seed=8).cache_key()
         assert _campaign().cache_key() != \
-            _campaign(packing="u64").cache_key()
+            _campaign(code="rowcol").cache_key()
 
     def test_explicit_defaults_hash_like_implicit(self):
         assert _campaign().cache_key() == \
-            _campaign(batch_size=64, packing="u8",
-                      backend="numpy").cache_key()
+            _campaign(batch_size=64, backend="numpy",
+                      code="diagonal").cache_key()
 
 
 # ---------------------------------------------------------------------- #
@@ -180,7 +198,6 @@ def _campaign_specs(draw):
         seed=draw(st.one_of(st.none(), _seeds)),
         include_check_bits=draw(st.booleans()),
         batch_size=draw(st.integers(1, 512)),
-        packing=draw(st.sampled_from(["u8", "u64"])),
         backend=draw(st.sampled_from(["numpy", "tracing"])))
 
 
@@ -208,7 +225,6 @@ def _misc_specs(draw):
         circuit=draw(st.sampled_from(["ctrl", "dec", "int2float"])),
         trials=draw(st.integers(1, 256)),
         seed=draw(st.one_of(st.none(), _seeds)),
-        packing=draw(st.sampled_from(["u8", "u64"])),
         exhaustive_threshold=draw(st.integers(0, 16)))
 
 

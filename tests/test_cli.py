@@ -80,11 +80,11 @@ class TestCommands:
         assert "adder" in out and "voter" in out
 
     def test_info_reports_service_capabilities(self, capsys):
-        """Operators can introspect backends/packings/job kinds."""
+        """Operators can introspect backends/codes/job kinds."""
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "backends:" in out and "numpy" in out
-        assert "packings: u8, u64" in out
+        assert "packings" not in out  # one batched layout, no option
         assert "job kinds:" in out and "drift_survival" in out
         assert "queue backends: memory, sqlite" in out
         assert "execution modes: local, distributed" in out
@@ -125,23 +125,24 @@ class TestSelectParser:
         assert args.n == 15 and args.trials == 512 and args.seed == 0
         assert args.m is None and args.ber is None
         assert args.row_fraction is None
-        assert args.codes is None and args.packing == "u8"
+        assert args.codes is None and not hasattr(args, "packing")
 
     def test_select_flags(self):
         args = build_parser().parse_args(
             ["select", "--n", "45", "--m", "3", "--m", "5",
              "--ber", "0.01", "--row-fraction", "0.5",
              "--trials", "16", "--seed", "9",
-             "--codes", "diagonal", "rowcol", "--packing", "u64"])
+             "--codes", "diagonal", "rowcol"])
         assert args.n == 45 and args.m == [3, 5]
         assert args.ber == [0.01] and args.row_fraction == [0.5]
         assert args.trials == 16 and args.seed == 9
         assert args.codes == ["diagonal", "rowcol"]
-        assert args.packing == "u64"
 
     def test_select_rejects_unknown_packing(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["select", "--packing", "u32"])
+        """``--packing`` is gone: every value is an unknown flag."""
+        for value in ("u8", "u64", "u32"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["select", "--packing", value])
 
 
 class TestSelectCommand:

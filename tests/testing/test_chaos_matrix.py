@@ -44,7 +44,7 @@ UNIFORM = InjectorSpec("uniform", {"probability": 2e-3})
 
 def spec_for(seed=91, trials=120):
     return CampaignJobSpec(n=15, m=3, trials=trials, seed=seed,
-                           injector=UNIFORM, packing="u8")
+                           injector=UNIFORM)
 
 
 def assert_terminal_and_sound(job, spec):

@@ -8,12 +8,12 @@ from repro.core.code import DiagonalParityCode
 from repro.utils.backend import (
     BACKEND_ENV_VAR,
     ArrayBackend,
-    BackendUnavailableError,
     TracingBackend,
     available_backends,
     get_backend,
     register_backend,
 )
+from repro.utils.bitpack import pack_batch
 
 
 class TestResolution:
@@ -56,17 +56,19 @@ class TestResolution:
 
     def test_builtins_registered(self):
         names = available_backends()
-        assert "numpy" in names and "cupy" in names and "tracing" in names
+        assert {"numpy", "tracing"} <= set(names) and "cupy" not in names
 
     def test_cupy_unavailable_raises_helpfully(self):
-        pytest.importorskip_reason = None
-        try:
-            import cupy  # noqa: F401
-            pytest.skip("cupy is installed here")
-        except ImportError:
-            pass
-        with pytest.raises(BackendUnavailableError, match="cupy"):
+        """No cupy backend ships: the name fails like any unknown one,
+        listing what is registered."""
+        with pytest.raises(ValueError,
+                           match="unknown backend 'cupy'.*numpy, tracing"):
             get_backend("cupy")
+
+    def test_cupy_env_selection_fails_the_same_way(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "cupy")
+        with pytest.raises(ValueError, match="unknown backend 'cupy'"):
+            get_backend(None)
 
 
 class TestRegistry:
@@ -178,11 +180,11 @@ class TestTracingBackend:
         grid = BlockGrid(9, 3)
         code = DiagonalParityCode(grid)
         rng = np.random.default_rng(11)
-        data = rng.integers(0, 2, (4, 9, 9)).astype(np.uint8)
+        words = pack_batch(rng.integers(0, 2, (70, 9, 9)).astype(np.uint8))
 
         tracing = TracingBackend()
-        lead_t, ctr_t = code.encode_batch(data, backend=tracing)
-        lead_n, ctr_n = code.encode_batch(data)
+        lead_t, ctr_t = code.encode_batch_packed(words, backend=tracing)
+        lead_n, ctr_n = code.encode_batch_packed(words)
         assert (np.asarray(lead_t) == lead_n).all()
         assert (np.asarray(ctr_t) == ctr_n).all()
         assert tracing.ops  # the kernel went through the handle
