@@ -614,17 +614,13 @@ def _build_hamming_ext(grid: BlockGrid) -> MatrixBlockCode:
 #
 # The packed batch kernels' oracle: a code's scalar per-block
 # ``encode_block`` / ``decode_block`` pair run over every block of every
-# trial of a host ``(B, n, n)`` uint8 stack. ``code`` is any object with
-# that pair and a ``grid`` — a :class:`BlockCode` or
-# :class:`repro.core.code.DiagonalParityCode`. Slow by construction: the
-# per-trial replay of :func:`repro.faults.batch.run_reference` and the
-# differential suites use it, campaigns never do.
+# trial of a host ``(B, n, n)`` uint8 stack of a :class:`BlockCode`.
+# Slow by construction: the per-trial replay of
+# :func:`repro.faults.batch.run_reference` and the differential suites
+# use it, campaigns never do.
 
-def _plane_names(code) -> Tuple[str, ...]:
-    return getattr(code, "plane_names", ("leading", "counter"))
-
-
-def encode_stack(code, data: np.ndarray) -> Tuple[np.ndarray, ...]:
+def encode_stack(code: BlockCode,
+                 data: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Code-ordered ``(B, rk, b, b)`` uint8 check planes of a stack."""
     grid = code.grid
     m, b = grid.m, grid.blocks_per_side
@@ -644,7 +640,8 @@ def encode_stack(code, data: np.ndarray) -> Tuple[np.ndarray, ...]:
     return planes
 
 
-def check_stack(code, data: np.ndarray, planes: Sequence[np.ndarray],
+def check_stack(code: BlockCode, data: np.ndarray,
+                planes: Sequence[np.ndarray],
                 correct: bool = True) -> np.ndarray:
     """Decode every block of every trial; return ``(B, b, b)`` codes.
 
@@ -657,7 +654,7 @@ def check_stack(code, data: np.ndarray, planes: Sequence[np.ndarray],
     """
     grid = code.grid
     m, b = grid.m, grid.blocks_per_side
-    names = _plane_names(code)
+    names = code.plane_names
     status = np.empty((data.shape[0], b, b), dtype=np.uint8)
     for t in range(data.shape[0]):
         for br in range(b):

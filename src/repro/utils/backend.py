@@ -126,39 +126,27 @@ class ArrayBackend:
             acc = acc ^ arr[index + (d,)]
         return acc
 
-    def scatter_xor(self, arr, indices: Tuple, values=None) -> None:
+    def scatter_xor(self, arr, indices: Tuple, values) -> None:
         """In-place ``arr[indices] ^= values`` honouring duplicate indices.
 
-        With ``values=None`` every listed cell is XORed with 1; a cell
-        listed ``k`` times is inverted ``k`` times — the semantics the
-        fault injectors rely on for duplicate flip events. An explicit
-        ``values`` array (one value per index tuple, e.g. the single-bit
-        masks of the packed ``uint64`` layout) is XOR-folded per cell the
-        same way, so duplicated (index, value) pairs cancel pairwise.
-        numpy's ``bitwise_xor.at`` implements both directly; modules
-        without ``ufunc.at`` fall back to a host-side fold staged back
-        through :meth:`from_numpy`.
+        ``values`` holds one value per index tuple (e.g. the single-bit
+        masks of the packed ``uint64`` layout) and is XOR-folded per
+        cell, so a cell listed ``k`` times receives all ``k`` values and
+        duplicated (index, value) pairs cancel pairwise — the semantics
+        the fault injectors rely on for duplicate flip events. numpy's
+        ``bitwise_xor.at`` implements this directly; modules without
+        ``ufunc.at`` fall back to a host-side fold staged back through
+        :meth:`from_numpy`.
         """
         indices = tuple(self.xp.asarray(ix) for ix in indices)
         at = getattr(self.xp.bitwise_xor, "at", None)
         if at is not None:
-            if values is None:
-                at(arr, indices, arr.dtype.type(1))
-            else:
-                at(arr, indices, self.xp.asarray(values, dtype=arr.dtype))
-            return
-        if values is None and hasattr(self.xp, "ravel_multi_index") \
-                and hasattr(self.xp, "bincount"):
-            flat = self.xp.ravel_multi_index(indices, arr.shape)
-            counts = self.xp.bincount(flat, minlength=arr.size)
-            arr ^= (counts % 2).astype(arr.dtype).reshape(arr.shape)
+            at(arr, indices, self.xp.asarray(values, dtype=arr.dtype))
             return
         # Generic fallback: XOR-fold host-side, then apply in one pass.
         host_idx = tuple(np.asarray(self.to_numpy(ix)) for ix in indices)
         fold = np.zeros(arr.shape, dtype=arr.dtype)
-        host_vals = fold.dtype.type(1) if values is None \
-            else np.asarray(values, dtype=fold.dtype)
-        np.bitwise_xor.at(fold, host_idx, host_vals)
+        np.bitwise_xor.at(fold, host_idx, np.asarray(values, dtype=arr.dtype))
         arr ^= self.from_numpy(fold)
 
     def popcount(self, arr):

@@ -122,9 +122,9 @@ class TestSweeps:
 class TestBatchedSweep:
     @staticmethod
     def _packed(small_grid, small_code, data):
-        from repro.core.registry import encode_stack
+        from repro.core.registry import build_code, encode_stack
         from repro.utils.bitpack import pack_batch
-        lead, ctr = encode_stack(small_code, data)
+        lead, ctr = encode_stack(build_code("diagonal", small_grid), data)
         return pack_batch(data), pack_batch(lead), pack_batch(ctr)
 
     def test_correct_false_leaves_state_and_reports_zero(self, small_grid,

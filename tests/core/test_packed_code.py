@@ -23,7 +23,7 @@ from repro.core.code import (
     NoError,
     Uncorrectable,
 )
-from repro.core.registry import check_stack, encode_stack
+from repro.core.registry import build_code, check_stack, encode_stack
 from repro.utils.bitpack import pack_batch, unpack_batch
 
 GEOMETRIES = [(9, 3), (15, 5)]
@@ -36,7 +36,7 @@ def _random_stack(grid, batch, seed=0, flip_probability=0.02):
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(batch, grid.n, grid.n), dtype=np.uint8)
     code = DiagonalParityCode(grid)
-    lead, ctr = encode_stack(code, data)
+    lead, ctr = encode_stack(build_code("diagonal", grid), data)
     golden = (data.copy(), lead.copy(), ctr.copy())
     data ^= (rng.random(data.shape) < flip_probability).astype(np.uint8)
     lead ^= (rng.random(lead.shape) < flip_probability).astype(np.uint8)
@@ -52,7 +52,7 @@ class TestEncodePacked:
         code = DiagonalParityCode(grid)
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, size=(batch, n, n), dtype=np.uint8)
-        lead8, ctr8 = encode_stack(code, data)
+        lead8, ctr8 = encode_stack(build_code("diagonal", grid), data)
         lead64, ctr64 = code.encode_batch_packed(pack_batch(data))
         assert np.array_equal(unpack_batch(lead64, batch), lead8)
         assert np.array_equal(unpack_batch(ctr64, batch), ctr8)
@@ -72,7 +72,8 @@ class TestSyndromeDecodePacked:
         syn64 = code.syndrome_batch_packed(
             pack_batch(data), pack_batch(lead), pack_batch(ctr))
         dec64 = code.decode_batch_packed(*syn64)
-        status8 = check_stack(code, data, (lead, ctr), correct=False)
+        status8 = check_stack(build_code("diagonal", grid), data, (lead, ctr),
+                              correct=False)
         assert np.array_equal(dec64.status_codes(batch), status8)
 
     def test_all_zero_syndromes(self):
@@ -81,13 +82,14 @@ class TestSyndromeDecodePacked:
         code = DiagonalParityCode(grid)
         rng = np.random.default_rng(5)
         data = rng.integers(0, 2, size=(70, 9, 9), dtype=np.uint8)
-        lead, ctr = encode_stack(code, data)
+        lead, ctr = encode_stack(build_code("diagonal", grid), data)
         syn = code.syndrome_batch_packed(
             pack_batch(data), pack_batch(lead), pack_batch(ctr))
         dec = code.decode_batch_packed(*syn)
         assert (dec.status_codes(70) == BATCH_NO_ERROR).all()
         # The scalar reference agrees.
-        assert (check_stack(code, data, (lead, ctr)) == BATCH_NO_ERROR).all()
+        status = check_stack(build_code("diagonal", grid), data, (lead, ctr))
+        assert (status == BATCH_NO_ERROR).all()
 
     def test_multi_diagonal_uncorrectable_patterns(self):
         """2+ set diagonals in a plane classify uncorrectable (edge case)."""
@@ -137,7 +139,8 @@ class TestCheckAllPacked:
         code, data, lead, ctr, _ = _random_stack(grid, batch,
                                                  seed=1000 + batch)
         d8, l8, c8 = data.copy(), lead.copy(), ctr.copy()
-        status8 = check_stack(code, d8, (l8, c8), correct=True)
+        status8 = check_stack(build_code("diagonal", grid), d8, (l8, c8),
+                              correct=True)
 
         dw = pack_batch(data)
         lw = pack_batch(lead)

@@ -1,8 +1,8 @@
 """Differential suite: every registered code, packed == scalar.
 
 The batched engine packs 64 trials per uint64 word; the reference is
-the per-trial scalar replay :func:`run_reference` (test names call it
-``u8``: it holds each trial as a uint8 crossbar). The CI tier-1 matrix
+the per-trial scalar replay :func:`run_reference` (``u8`` in test
+names: it holds each trial as a uint8 crossbar). The CI tier-1 matrix
 runs this file (plus the registry unit tests) under
 ``REPRO_BACKEND=tracing`` as well, so the batched kernels of all codes
 stay exercised through the backend-abstraction layer.
@@ -52,17 +52,17 @@ class TestScalarVsBatched:
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     def test_packed_matches_u8(self, code):
         runner = _runner(code)
-        u8 = runner.run_reference(96)
+        scalar = runner.run_reference(96)
         packed = runner.run(96)
-        assert packed.as_dict() == u8.as_dict()
+        assert packed.as_dict() == scalar.as_dict()
 
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     def test_packed_non_multiple_of_64_trials(self, code):
         """Tail-lane masking: 70 trials needs a partial second word."""
         runner = _runner(code, batch_size=70)
-        u8 = runner.run_reference(70)
+        scalar = runner.run_reference(70)
         packed = runner.run(70)
-        assert packed.as_dict() == u8.as_dict()
+        assert packed.as_dict() == scalar.as_dict()
 
     @pytest.mark.parametrize("code", NON_DIAGONAL)
     def test_batch_size_invariance(self, code):

@@ -3,9 +3,8 @@
 The batched engine packs 64 trials per uint64 word; with identical
 seeds it must be bit-for-bit identical to the scalar reference under
 both seeding contracts, for the whole injector family, and for batch
-sizes that leave a ``B % 64`` tail. Test names say ``u8`` for the
-reference side: the scalar engine, which holds each trial as a uint8
-crossbar and check store.
+sizes that leave a ``B % 64`` tail. ``u8`` in test names is the scalar
+engine, which holds each trial as a uint8 crossbar.
 """
 
 import numpy as np
@@ -49,33 +48,35 @@ INJECTOR_FAMILY = [
 def _pair(injector_factory, grid, trials, batch_size, seed=42,
           include_check_bits=True):
     """(scalar, packed) tallies for identically-seeded campaigns."""
-    u8 = FaultCampaign(grid, injector_factory(), seed=seed,
-                       include_check_bits=include_check_bits).run(trials)
-    u64 = BatchCampaign(grid, injector_factory(), seed=seed,
-                        include_check_bits=include_check_bits,
-                        batch_size=batch_size).run(trials)
-    return u8.as_dict(), u64.as_dict()
+    scalar = FaultCampaign(grid, injector_factory(), seed=seed,
+                           include_check_bits=include_check_bits).run(trials)
+    packed = BatchCampaign(grid, injector_factory(), seed=seed,
+                           include_check_bits=include_check_bits,
+                           batch_size=batch_size).run(trials)
+    return scalar.as_dict(), packed.as_dict()
 
 
 class TestSequentialPackingEquivalence:
     @pytest.mark.parametrize("make_injector", INJECTOR_FAMILY)
     def test_injector_family_u64_matches_u8(self, small_grid, make_injector):
-        u8, u64 = _pair(make_injector, small_grid, trials=24, batch_size=7)
-        assert u8 == u64
+        scalar, packed = _pair(make_injector, small_grid, trials=24,
+                               batch_size=7)
+        assert scalar == packed
 
     @pytest.mark.parametrize("n,m", [(9, 3), (15, 5)])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.1])
     def test_uniform_across_geometries(self, n, m, p):
-        u8, u64 = _pair(lambda: UniformInjector(p, seed=7), BlockGrid(n, m),
-                        trials=30, batch_size=9)
-        assert u8 == u64
+        scalar, packed = _pair(lambda: UniformInjector(p, seed=7),
+                               BlockGrid(n, m), trials=30, batch_size=9)
+        assert scalar == packed
 
     @pytest.mark.parametrize("trials", [1, 63, 64, 65, 70, 130])
     def test_word_tail_batches(self, small_grid, trials):
         """B % 64 != 0 must not change a single tally (padding rule)."""
-        u8, u64 = _pair(lambda: UniformInjector(0.05, seed=3), small_grid,
-                        trials=trials, batch_size=trials)
-        assert u8 == u64
+        scalar, packed = _pair(lambda: UniformInjector(0.05, seed=3),
+                               small_grid, trials=trials,
+                               batch_size=trials)
+        assert scalar == packed
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 100])
     def test_batch_size_never_changes_packed_tallies(self, small_grid,
@@ -95,16 +96,17 @@ class TestSequentialPackingEquivalence:
         assert scalar == packed
 
     def test_exclude_check_bits(self, small_grid):
-        u8, u64 = _pair(lambda: UniformInjector(0.05, seed=11), small_grid,
-                        trials=20, batch_size=8, include_check_bits=False)
-        assert u8 == u64
+        scalar, packed = _pair(lambda: UniformInjector(0.05, seed=11),
+                               small_grid, trials=20, batch_size=8,
+                               include_check_bits=False)
+        assert scalar == packed
 
     def test_duplicate_flips_cancel_in_packed_layout(self, small_grid):
         """A cell listed twice flips twice (net zero) in the word layout."""
-        u8, u64 = _pair(lambda: DeterministicInjector([(4, 4), (4, 4),
-                                                       (1, 2)]),
-                        small_grid, trials=4, batch_size=3)
-        assert u8 == u64
+        scalar, packed = _pair(
+            lambda: DeterministicInjector([(4, 4), (4, 4), (1, 2)]),
+            small_grid, trials=4, batch_size=3)
+        assert scalar == packed
 
 
 class TestPerTrialPackingEquivalence:
@@ -152,16 +154,17 @@ class TestPackedSimulators:
         kwargs = dict(model=DRIFT_MODEL, window_hours=24.0,
                       refresh_period_hours=6.0, trials=20, seed=3,
                       batch_size=7)
-        u8 = simulate_drift_survival(small_grid, engine="scalar", **kwargs)
-        u64 = simulate_drift_survival(small_grid, **kwargs)
-        assert u8.as_dict() == u64.as_dict()
+        scalar = simulate_drift_survival(small_grid, engine="scalar",
+                                         **kwargs)
+        packed = simulate_drift_survival(small_grid, **kwargs)
+        assert scalar.as_dict() == packed.as_dict()
 
     def test_burst_survival_packed(self, small_grid):
         from repro.reliability.burst import simulate_burst_survival
-        u8 = simulate_burst_survival(small_grid, 2, 40, seed=4,
-                                     engine="scalar")
-        u64 = simulate_burst_survival(small_grid, 2, 40, seed=4)
-        assert u8 == u64
+        scalar = simulate_burst_survival(small_grid, 2, 40, seed=4,
+                                         engine="scalar")
+        packed = simulate_burst_survival(small_grid, 2, 40, seed=4)
+        assert scalar == packed
 
     def test_adaptive_packed_matches_u8(self, small_grid):
         def run(engine):

@@ -4,7 +4,7 @@ The acceptance contract of the service layer: a submitted job — sharded,
 scheduled asynchronously, executed on a pool, checkpointed through the
 result store — returns a ``CampaignResult`` bit-identical to the
 in-process per-trial-seeded :class:`CampaignRunner` (both its packed
-``u64`` run and its scalar ``u8`` replay), and a resubmitted identical
+run and its scalar replay), and a resubmitted identical
 spec is served from cache without re-execution.
 """
 
@@ -60,8 +60,8 @@ def run_jobs(store, specs, **service_kwargs):
 class TestCampaignDifferential:
     @pytest.mark.parametrize("engine", ["u8", "u64"])
     def test_service_equals_in_process_runner(self, tmp_path, engine):
-        """``u8``: the in-process scalar replay; ``u64``: the in-process
-        packed run."""
+        """``u8``: the in-process scalar replay, which holds each trial
+        as a uint8 crossbar; ``u64``: the in-process packed run."""
         spec = CampaignJobSpec(n=15, m=3, trials=300, seed=41,
                                injector=UNIFORM)
         (job,) = run_jobs(tmp_path, [spec], workers=3)

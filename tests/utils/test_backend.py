@@ -95,32 +95,10 @@ class TestArrayBackendOps:
         arr = np.zeros((3, 3), dtype=np.uint8)
         rows = np.array([0, 0, 1, 2, 2, 2])
         cols = np.array([1, 1, 2, 0, 0, 0])
-        be.scatter_xor(arr, (rows, cols))
+        be.scatter_xor(arr, (rows, cols), np.ones(rows.size, np.uint8))
         # (0,1) twice -> 0, (1,2) once -> 1, (2,0) thrice -> 1
         assert arr[0, 1] == 0 and arr[1, 2] == 1 and arr[2, 0] == 1
         assert arr.sum() == 2
-
-    def test_scatter_xor_fallback_matches_ufunc_at(self):
-        """A module without ufunc.at takes the bincount-parity path."""
-
-        class NoAtXor:
-            pass  # no .at attribute
-
-        class NoAtModule:
-            bitwise_xor = NoAtXor()
-            asarray = staticmethod(np.asarray)
-            ravel_multi_index = staticmethod(np.ravel_multi_index)
-            bincount = staticmethod(np.bincount)
-
-        be = ArrayBackend("no-at", NoAtModule())
-        direct = get_backend("numpy")
-        rng = np.random.default_rng(7)
-        idx = (rng.integers(0, 4, 50), rng.integers(0, 5, 50))
-        a = np.zeros((4, 5), dtype=np.uint8)
-        b = np.zeros((4, 5), dtype=np.uint8)
-        be.scatter_xor(a, idx)
-        direct.scatter_xor(b, idx)
-        assert (a == b).all()
 
     def test_xor_reduce_matches_parity(self):
         be = get_backend("numpy")
